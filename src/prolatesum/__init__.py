@@ -12,7 +12,7 @@ smoothness index.
 
 from .prolate import EigenSystem, Family, ProlateSpec, build_galerkin, check_bounds, solve
 from .riesz import ExponentTable, RieszConfig, delta_threshold, riesz_mean, riesz_weight
-from .specfun import QuadratureRule, bessel_j, gauss_jacobi, jacobi_poly_orthonormal
+from .specfun import QuadratureRule, bessel_j, gauss_jacobi
 from .transforms import SampledFunction, finite_fourier, finite_hankel
 
 __version__ = "0.1.0"
@@ -32,7 +32,6 @@ __all__ = [
     "finite_fourier",
     "finite_hankel",
     "gauss_jacobi",
-    "jacobi_poly_orthonormal",
     "riesz_mean",
     "riesz_weight",
     "solve",

@@ -20,7 +20,7 @@ from .riesz import (
     riesz_mean,
     riesz_weight,
 )
-from .specfun import QuadratureRule, jacobi_poly_orthonormal
+from .specfun import QuadratureRule, jacobi_orthonormal_table
 from .transforms import SampledFunction
 
 
@@ -157,7 +157,8 @@ def jacobi_approx_residual(es: EigenSystem, n: int, grid_size: int = 4096) -> Ja
     theta = (np.arange(grid_size) + 0.5) * np.pi / grid_size
     x = np.cos(theta)
     amp = float(es.coeffs[n, n])
-    diff = es.eval(n, x) - amp * jacobi_poly_orthonormal(n, es.spec.alpha, es.spec.alpha, x)
+    jn = jacobi_orthonormal_table(n + 1, es.spec.alpha, es.spec.alpha, x)[n]
+    diff = es.eval(n, x) - amp * jn
     return JacobiApproxResult(residual=float(np.max(np.abs(diff))), amplitude=amp)
 
 

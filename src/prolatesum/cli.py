@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import analysis, riesz, transforms
-from .prolate import Family, ProlateSpec, check_bounds, solve
+from .prolate import Family, ProlateSpec, check_bounds, family_grid, solve
 from .riesz import ExponentTable, RieszConfig, delta_threshold, dual_exponent
 from .specfun import NumericsError
 
@@ -70,6 +70,8 @@ class RunConfig:
             raise UsageError("p must be >= 1")
         if self.r_count < 2:
             raise UsageError("R grid needs at least 2 points")
+        if self.grid_points < 1:
+            raise UsageError("kernel grid needs at least 1 point")
 
 
 def _spec(cfg: RunConfig) -> ProlateSpec:
@@ -101,8 +103,11 @@ def _emit(cfg: RunConfig, results, checks: list[dict]) -> None:
         if checks:
             text += "# checks: " + json.dumps(checks, sort_keys=True) + "\n"
     if cfg.output:
-        with open(cfg.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {cfg.output}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -119,6 +124,8 @@ def _check(name: str, value: float, tolerance: float, larger_ok: bool = False) -
 def _verify_checks(cfg: RunConfig) -> list[dict]:
     spec = _spec(cfg)
     es = solve(spec)
+    if es.n_retained < 3:
+        raise UsageError(f"verify needs at least 3 retained modes, have {es.n_retained}")
     rule = es.default_rule(cfg.quad_size)
     rng = np.random.default_rng(cfg.seed)
     checks = []
@@ -198,19 +205,15 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
         worst_resid = 0.0
         worst_qc = 0.0
         for nn in range(min(9, es.n_retained)):
-            mu = transforms.estimate_mu(spec.alpha, spec.c, es, nn, size=cfg.quad_size)
+            f = transforms.sample_mode(es, nn, rule=rule)
+            g = transforms.family_transform(es, f)
+            mu = transforms.rayleigh(g, f)
             if abs(mu) < noise_floor:
                 continue
-            f = transforms.sample_mode(es, nn, rule=rule)
-            if spec.family is Family.GPSWF:
-                g = transforms.finite_fourier(spec.alpha, spec.c, f)
-            else:
-                g = transforms.finite_hankel(spec.alpha, spec.c, f)
             resid = np.sqrt(np.sum(rule.weights * np.abs(g.values - mu * f.values) ** 2))
             worst_resid = max(worst_resid, float(resid / abs(mu)))
             if spec.family is Family.GPSWF and nn <= 4:
-                q = transforms.apply_Qc(spec.alpha, spec.c, f)
-                lam = float(np.real(np.sum(rule.weights * q.values * f.values)))
+                lam = transforms.rayleigh(transforms.apply_Qc(spec.alpha, spec.c, f), f).real
                 worst_qc = max(worst_qc, abs(lam - spec.c / (2 * math.pi) * abs(mu) ** 2))
         checks.append(_check("transform_eigenrelation_residual", worst_resid, 1e-4))
         if spec.family is Family.GPSWF:
@@ -242,13 +245,15 @@ def _cmd_verify(cfg: RunConfig) -> int:
 def _cmd_sweep(cfg: RunConfig) -> int:
     es = solve(_spec(cfg))
     if cfg.r_start is None or cfg.r_stop is None:
+        if es.n_retained < 6:
+            raise UsageError(
+                f"the default R grid runs from chi_4 to the largest retained eigenvalue "
+                f"and needs at least 6 retained modes, have {es.n_retained}"
+            )
         r_start, r_stop = float(es.chi[4]), float(es.certified_max)
     else:
         r_start, r_stop = cfg.r_start, cfg.r_stop
-    if r_stop > es.certified_max:
-        raise UsageError(
-            f"R exceeds certified spectrum (max R {r_stop} > {es.certified_max:.6g})"
-        )
+    es.check_radius(r_stop)
     if not 0 < r_start < r_stop:
         raise UsageError("need 0 < r_start < r_stop")
     R_grid = np.geomspace(r_start, r_stop, cfg.r_count)
@@ -268,10 +273,9 @@ def _cmd_sweep(cfg: RunConfig) -> int:
 def _cmd_kernel(cfg: RunConfig) -> int:
     es = solve(_spec(cfg))
     R = cfg.R if cfg.R is not None else float(es.certified_max)
-    if R > es.certified_max:
-        raise UsageError(f"R exceeds certified spectrum ({R} > {es.certified_max:.6g})")
+    es.check_radius(R)
     rc = RieszConfig(R=R, delta=cfg.delta)
-    lo, hi = (-1.0, 1.0) if es.spec.family is Family.GPSWF else (0.0, 1.0)
+    lo, hi = family_grid(es.spec.family, es.spec.alpha).interval
     pts = lo + (hi - lo) * (np.arange(cfg.grid_points) + 0.5) / cfg.grid_points
     w = riesz.riesz_weight(es.chi, rc)
     modes = es.mode_matrix(pts)

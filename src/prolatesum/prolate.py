@@ -34,6 +34,34 @@ class Family(str, Enum):
     CPSWF = "cpswf"
 
 
+class FamilyGrid(NamedTuple):
+    """Open domain of a family and the Jacobi weight (1-x)^a (1+x)^b of its
+    quadrature rule, before the rule is mapped onto the domain."""
+
+    rule: str
+    interval: tuple[float, float]
+    a: float
+    b: float
+
+
+def family_grid(family: Family, alpha: float) -> FamilyGrid:
+    """GPSWF lives on (-1, 1) with weight (alpha, alpha); CPSWF on (0, 1)
+    with Lebesgue weight (0, 0)."""
+    if Family(family) is Family.GPSWF:
+        return FamilyGrid("Gauss-Jacobi", (-1.0, 1.0), alpha, alpha)
+    return FamilyGrid("Gauss-Legendre", (0.0, 1.0), 0.0, 0.0)
+
+
+def require_family_grid(rule: QuadratureRule, family: Family, alpha: float, what: str):
+    """Reject samples that do not sit on the family quadrature grid."""
+    g = family_grid(family, alpha)
+    if (rule.interval, rule.a, rule.b) != (g.interval, g.a, g.b):
+        raise ValueError(
+            f"{what}: sample grid does not match the family quadrature "
+            f"({g.rule} for weight (1-x)^{g.a} (1+x)^{g.b} on {g.interval})"
+        )
+
+
 @dataclass(frozen=True)
 class ProlateSpec:
     """Parameters of one prolate family: weight exponent alpha, bandwidth c,
@@ -144,6 +172,14 @@ class EigenSystem:
         radii must stay at or below it."""
         return float(self.chi[-1])
 
+    def check_radius(self, R: float):
+        """Reject a summation radius beyond the certified spectral range:
+        truncating the sum there would silently bias the result."""
+        if R > self.certified_max:
+            raise ValueError(
+                f"R exceeds certified spectrum (R={R}, certified max={self.certified_max})"
+            )
+
     def default_rule(self, size: int = 512) -> QuadratureRule:
         """The family quadrature: Gauss-Jacobi for the GPSWF weight on
         (-1, 1), Gauss-Legendre mapped to (0, 1) for CPSWF."""
@@ -152,7 +188,7 @@ class EigenSystem:
         return gauss_legendre_01(size)
 
     def _check_domain(self, x: np.ndarray):
-        lo, hi = ((-1.0, 1.0) if self.spec.family is Family.GPSWF else (0.0, 1.0))
+        lo, hi = family_grid(self.spec.family, self.spec.alpha).interval
         if np.any(x <= lo) or np.any(x >= hi):
             raise ValueError(f"evaluation points must lie in the open interval ({lo}, {hi})")
 

@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .prolate import EigenSystem, Family
+from .prolate import EigenSystem, Family, require_family_grid
 from .transforms import SampledFunction
 
 
@@ -133,19 +133,9 @@ def dyadic_tail(chi, cfg: RieszConfig):
 # expansion, synthesis, kernel
 # ---------------------------------------------------------------------------
 
-def _require_family_grid(f: SampledFunction, es: EigenSystem, what: str):
-    r = f.rule
-    if es.spec.family is Family.GPSWF:
-        ok = r.interval == (-1.0, 1.0) and r.a == es.spec.alpha and r.b == es.spec.alpha
-    else:
-        ok = r.interval == (0.0, 1.0) and r.a == 0.0 and r.b == 0.0
-    if not ok:
-        raise ValueError(f"{what}: sample grid does not match the family quadrature")
-
-
 def expansion_coeffs(f: SampledFunction, es: EigenSystem) -> np.ndarray:
     """Coefficients a_n = sum_j w_j f(y_j) phi_n(y_j) for every retained n."""
-    _require_family_grid(f, es, "expansion_coeffs")
+    require_family_grid(f.rule, es.spec.family, es.spec.alpha, "expansion_coeffs")
     modes = es.mode_matrix(f.rule.nodes)
     return modes @ (f.rule.weights * f.values)
 
@@ -156,11 +146,8 @@ def riesz_mean(f: SampledFunction, es: EigenSystem, cfg: RieszConfig) -> Sampled
     R may not exceed the certified spectral range: truncating the sum beyond
     the retained modes would silently bias the result.
     """
-    if cfg.R > es.certified_max:
-        raise ValueError(
-            f"R exceeds certified spectrum (R={cfg.R}, certified max={es.certified_max})"
-        )
-    _require_family_grid(f, es, "riesz_mean")
+    es.check_radius(cfg.R)
+    require_family_grid(f.rule, es.spec.family, es.spec.alpha, "riesz_mean")
     modes = es.mode_matrix(f.rule.nodes)
     a = modes @ (f.rule.weights * f.values)
     w = riesz_weight(es.chi, cfg)
@@ -169,10 +156,7 @@ def riesz_mean(f: SampledFunction, es: EigenSystem, cfg: RieszConfig) -> Sampled
 
 def riesz_kernel(es: EigenSystem, cfg: RieszConfig, x, y) -> float:
     """K_R^delta(x, y) = sum_n (1 - chi_n/R)_+^delta phi_n(x) phi_n(y)."""
-    if cfg.R > es.certified_max:
-        raise ValueError(
-            f"R exceeds certified spectrum (R={cfg.R}, certified max={es.certified_max})"
-        )
+    es.check_radius(cfg.R)
     w = riesz_weight(es.chi, cfg)
     px = es.mode_matrix(np.atleast_1d(float(x)))[:, 0]
     py = es.mode_matrix(np.atleast_1d(float(y)))[:, 0]

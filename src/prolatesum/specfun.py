@@ -2,8 +2,7 @@
 
 Everything here is self-contained numerics: orthonormal Jacobi polynomials by
 three-term recurrence, Gauss-Jacobi rules by Golub-Welsch, a symmetric
-tridiagonal eigensolver, Bessel J of real order, and one auxiliary
-elliptic-type integral.
+tridiagonal eigensolver, and Bessel J of real order.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from dataclasses import dataclass
 from math import lgamma, log, pi
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import LinAlgError, eigh_tridiagonal
 from scipy.special import betaln
 
@@ -44,15 +42,6 @@ class QuadratureRule:
     def size(self) -> int:
         return self.nodes.size
 
-    def matches(self, other: "QuadratureRule") -> bool:
-        """Same weight family, interval and resolution."""
-        return (
-            self.a == other.a
-            and self.b == other.b
-            and self.interval == other.interval
-            and self.size == other.size
-        )
-
 
 def jacobi_recurrence(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """First n recurrence coefficients (alpha_k, beta_k) for monic Jacobi
@@ -77,26 +66,16 @@ def jacobi_recurrence(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarra
     return alpha, beta
 
 
-def jacobi_poly_orthonormal(n: int, a: float, b: float, x):
-    """Evaluate the degree-n Jacobi polynomial orthonormal w.r.t.
-    (1-x)^a (1+x)^b on (-1, 1).
+def jacobi_orthonormal_table(nmax: int, a: float, b: float, x) -> np.ndarray:
+    """Table p_k(x) for k = 0..nmax-1, shape (nmax, len(x)), of the Jacobi
+    polynomials orthonormal w.r.t. (1-x)^a (1+x)^b on (-1, 1).
 
     Runs the three-term recurrence on the orthonormal family directly, which
-    stays well scaled up to n ~ 2000; no Gamma ratios are formed.
+    stays well scaled up to degree ~ 2000; no Gamma ratios are formed.  The
+    degree-n polynomial alone is row n of jacobi_orthonormal_table(n + 1, ...).
     """
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    alpha, beta = jacobi_recurrence(n + 2, a, b)
-    x = np.asarray(x, dtype=float)
-    p_prev = np.zeros_like(x)
-    p = np.full_like(x, 1.0 / np.sqrt(beta[0]))
-    for k in range(n):
-        p, p_prev = ((x - alpha[k]) * p - np.sqrt(beta[k]) * p_prev) / np.sqrt(beta[k + 1]), p
-    return p if p.ndim else float(p)
-
-
-def jacobi_orthonormal_table(nmax: int, a: float, b: float, x) -> np.ndarray:
-    """Table p_k(x) for k = 0..nmax-1, shape (nmax, len(x))."""
+    if nmax < 1:
+        raise ValueError("nmax must be >= 1")
     alpha, beta = jacobi_recurrence(nmax + 1, a, b)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     table = np.empty((nmax, x.size))
@@ -294,22 +273,3 @@ def bessel_j(order: float, x):
     if np.any(middle):
         out[middle] = _bessel_miller(order, x[middle])
     return float(out[0]) if scalar else out
-
-
-# ---------------------------------------------------------------------------
-# S(x) = int_x^1 sqrt((1 - q t^2)/(1 - t^2)) dt
-# ---------------------------------------------------------------------------
-
-def elliptic_S(x: float, q: float) -> float:
-    """Auxiliary phase integral with the t=1 endpoint singularity removed
-    by t = cos(u), giving int_0^{arccos x} sqrt(1 - q cos^2 u) du."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("x must lie in [0, 1]")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("q must lie in [0, 1]")
-    if x == 1.0:
-        return 0.0
-    upper = float(np.arccos(x))
-    val, _err = quad(lambda u: np.sqrt(1.0 - q * np.cos(u) ** 2), 0.0, upper,
-                     epsabs=1e-12, epsrel=1e-12, limit=200)
-    return val

@@ -14,7 +14,7 @@ from math import pi
 import numpy as np
 from scipy.special import gamma
 
-from .prolate import EigenSystem, Family
+from .prolate import EigenSystem, Family, require_family_grid
 from .specfun import QuadratureRule, bessel_j
 
 # |mu_n| below this is pure rounding noise in double precision; such modes are
@@ -52,24 +52,9 @@ def sample_mode(es: EigenSystem, n: int, rule: QuadratureRule | None = None,
     return SampledFunction(rule=rule, values=es.eval(n, rule.nodes))
 
 
-def _require_weighted_rule(alpha: float, f: SampledFunction, what: str):
-    r = f.rule
-    if r.interval != (-1.0, 1.0) or r.a != alpha or r.b != alpha:
-        raise ValueError(
-            f"{what} expects samples on a Gauss-Jacobi grid for weight "
-            f"(1-x^2)^{alpha} on (-1, 1)"
-        )
-
-
-def _require_unit_rule(f: SampledFunction, what: str):
-    r = f.rule
-    if r.interval != (0.0, 1.0) or r.a != 0.0 or r.b != 0.0:
-        raise ValueError(f"{what} expects samples on a Gauss-Legendre grid on (0, 1)")
-
-
 def finite_fourier(alpha: float, c: float, f: SampledFunction) -> SampledFunction:
     """Weighted finite Fourier transform: x -> sum_j w_j e^{i c x y_j} f(y_j)."""
-    _require_weighted_rule(alpha, f, "finite_fourier")
+    require_family_grid(f.rule, Family.GPSWF, alpha, "finite_fourier")
     x = f.rule.nodes
     kernel = np.exp(1j * c * np.outer(x, x))
     return SampledFunction(rule=f.rule, values=kernel @ (f.rule.weights * f.values))
@@ -96,7 +81,7 @@ def apply_Qc(alpha: float, c: float, f: SampledFunction) -> SampledFunction:
 
     Self-adjoint on L^2 of the weight; equals (c/2pi) F* F on that space.
     """
-    _require_weighted_rule(alpha, f, "apply_Qc")
+    require_family_grid(f.rule, Family.GPSWF, alpha, "apply_Qc")
     x = f.rule.nodes
     K = bandlimit_kernel(alpha, c * (x[:, None] - x[None, :]))
     return SampledFunction(
@@ -111,11 +96,24 @@ def finite_hankel(alpha: float, c: float, f: SampledFunction) -> SampledFunction
         raise ValueError("alpha must be >= -1/2")
     if c <= 0:
         raise ValueError("finite_hankel requires c > 0")
-    _require_unit_rule(f, "finite_hankel")
+    require_family_grid(f.rule, Family.CPSWF, alpha, "finite_hankel")
     x = f.rule.nodes
     arg = c * np.outer(x, x)
     K = np.sqrt(arg) * bessel_j(alpha, arg)
     return SampledFunction(rule=f.rule, values=K @ (f.rule.weights * f.values))
+
+
+def family_transform(es: EigenSystem, f: SampledFunction) -> SampledFunction:
+    """The integral transform whose eigenfunctions are es's modes: finite
+    Fourier for GPSWF, finite Hankel for CPSWF, at the system's alpha and c."""
+    if es.spec.family is Family.GPSWF:
+        return finite_fourier(es.spec.alpha, es.spec.c, f)
+    return finite_hankel(es.spec.alpha, es.spec.c, f)
+
+
+def rayleigh(g: SampledFunction, f: SampledFunction) -> complex:
+    """Quadrature projection sum_j w_j g(y_j) f(y_j) of g onto the real mode f."""
+    return complex(np.sum(f.rule.weights * g.values * f.values))
 
 
 def estimate_mu(alpha: float, c: float, es: EigenSystem, n: int,
@@ -130,9 +128,4 @@ def estimate_mu(alpha: float, c: float, es: EigenSystem, n: int,
     if not 0 <= n < es.n_retained:
         raise ValueError(f"mode {n} is not retained")
     f = sample_mode(es, n, size=size)
-    if es.spec.family is Family.GPSWF:
-        g = finite_fourier(alpha, c, f)
-    else:
-        g = finite_hankel(alpha, c, f)
-    w = f.rule.weights
-    return complex(np.sum(w * g.values * f.values))
+    return rayleigh(family_transform(es, f), f)

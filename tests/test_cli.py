@@ -59,6 +59,12 @@ class TestVerify:
         for c in data["checks"]:
             assert set(c) == {"name", "pass", "value", "tolerance"}
 
+    def test_too_few_modes_exit_1(self, capsys):
+        code, _, err = run_cli(["verify", "--n", "4"], capsys)
+        assert code == 1
+        assert err.startswith("error:")
+        assert "have 2" in err
+
     def test_verify_deterministic(self, tmp_path, capsys):
         out = tmp_path / "a.json"
         args = ["verify", "--n", "64", "--seed", "3", "--output", str(out)]
@@ -89,6 +95,13 @@ class TestSweep:
         assert code == 1
         assert "exceeds certified spectrum" in err
 
+    @pytest.mark.parametrize("n,retained", [("10", 5), ("8", 4), ("4", 2)])
+    def test_default_grid_too_few_modes_exit_1(self, n, retained, capsys):
+        code, _, err = run_cli(["sweep", "--n", n], capsys)
+        assert code == 1
+        assert err.startswith("error:")
+        assert f"have {retained}" in err
+
     def test_csv_format(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         code, _, _ = run_cli(["sweep", "--n", "64", "--r-count", "3", "--format", "csv",
@@ -114,6 +127,15 @@ class TestKernel:
         vals = {(r[0], r[1]): float(r[2]) for r in rows}
         for (x, y), v in vals.items():
             assert vals[(y, x)] == v
+
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_empty_grid_rejected(self, points, tmp_path, capsys):
+        out = tmp_path / "kernel.json"
+        code, _, err = run_cli(["kernel", "--n", "16", "--grid-points", points,
+                                "--output", str(out)], capsys)
+        assert code == 1
+        assert "grid" in err
+        assert not out.exists()
 
 
 class TestExponents:
@@ -149,6 +171,13 @@ class TestErrors:
     def test_invalid_config_exit_1(self, capsys):
         assert main(["basis", "--alpha", "-2"]) == 1
         assert main(["sweep", "--p", "0.5"]) == 1
+
+    def test_output_into_missing_directory_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "es.json"
+        code, _, err = run_cli(["basis", "--n", "16", "--output", str(out)], capsys)
+        assert code == 1
+        assert err.startswith("error:")
+        assert str(out) in err
 
     def test_numerical_failure_exit_3(self, capsys, monkeypatch):
         import prolatesum.cli as cli

@@ -10,7 +10,7 @@ from prolatesum.prolate import (
     check_bounds,
     solve,
 )
-from prolatesum.specfun import gauss_jacobi, jacobi_poly_orthonormal
+from prolatesum.specfun import gauss_jacobi, jacobi_orthonormal_table
 
 
 def gpswf(alpha=0.0, c=1.0, N=128, keep=0.5):
@@ -71,8 +71,7 @@ class TestGalerkinMatrix:
         alpha, c = 0.0, 1.0
         blocks = build_galerkin(ProlateSpec(family="gpswf", alpha=alpha, c=c, N=16))
         rule = gauss_jacobi(64, alpha, alpha)
-        j0 = jacobi_poly_orthonormal(0, alpha, alpha, rule.nodes)
-        j2 = jacobi_poly_orthonormal(2, alpha, alpha, rule.nodes)
+        j0, _, j2 = jacobi_orthonormal_table(3, alpha, alpha, rule.nodes)
         oracle = np.sum(rule.weights * rule.nodes**2 * j0 * j2)
         assert blocks.even[1][0] == pytest.approx(c * c * oracle, abs=1e-12)
 
@@ -81,7 +80,7 @@ class TestGalerkinMatrix:
         blocks = build_galerkin(ProlateSpec(family="gpswf", alpha=alpha, c=c, N=12))
         rule = gauss_jacobi(64, alpha, alpha)
         for k in (0, 1, 2, 5):
-            jk = jacobi_poly_orthonormal(k, alpha, alpha, rule.nodes)
+            jk = jacobi_orthonormal_table(k + 1, alpha, alpha, rule.nodes)[k]
             oracle = k * (k + 2 * alpha + 1) + c * c * np.sum(rule.weights * rule.nodes**2 * jk * jk)
             got = blocks.even[0][k // 2] if k % 2 == 0 else blocks.odd[0][k // 2]
             assert got == pytest.approx(oracle, rel=1e-13), k
@@ -107,7 +106,7 @@ class TestGalerkinMatrix:
         def T(k, xx):
             u = 1 - 2 * xx * xx
             return (2 ** ((alpha + 2) / 2) * xx ** (alpha + 0.5)
-                    * jacobi_poly_orthonormal(k, alpha, 0.0, u))
+                    * jacobi_orthonormal_table(k + 1, alpha, 0.0, u)[k])
 
         for k in (0, 1, 4):
             d_oracle = (2 * k + alpha + 0.5) * (2 * k + alpha + 1.5) + c * c * np.sum(
@@ -173,7 +172,7 @@ class TestEval:
         es = gpswf(alpha=0.3, c=0.0, N=32)
         for x in (-0.7, 0.2, 0.9):
             assert es.eval(3, x) == pytest.approx(
-                jacobi_poly_orthonormal(3, 0.3, 0.3, x), abs=1e-12)
+                jacobi_orthonormal_table(4, 0.3, 0.3, x)[3, 0], abs=1e-12)
 
     def test_parity_symmetry(self):
         es = gpswf(c=2.0, N=64)

@@ -4,11 +4,9 @@ from scipy.special import jv
 
 from prolatesum.specfun import (
     bessel_j,
-    elliptic_S,
     gauss_jacobi,
     gauss_legendre_01,
     jacobi_orthonormal_table,
-    jacobi_poly_orthonormal,
     jacobi_recurrence,
     symtridiag_eigen,
 )
@@ -144,18 +142,15 @@ class TestBesselJ:
 class TestJacobiPoly:
     def test_constant_mode(self):
         for x in (-0.9, 0.0, 0.77):
-            assert jacobi_poly_orthonormal(0, 0, 0, x) == pytest.approx(1 / np.sqrt(2), abs=1e-15)
+            assert jacobi_orthonormal_table(1, 0, 0, x)[0, 0] == pytest.approx(1 / np.sqrt(2), abs=1e-15)
 
     def test_degree_one_legendre_at_one(self):
-        assert jacobi_poly_orthonormal(1, 0, 0, 1.0) == pytest.approx(np.sqrt(1.5), abs=1e-14)
+        assert jacobi_orthonormal_table(2, 0, 0, 1.0)[1, 0] == pytest.approx(np.sqrt(1.5), abs=1e-14)
 
     def test_gram_identity_degree5(self):
         rule = gauss_jacobi(64, 0.4, 0.4)
-        p5 = jacobi_poly_orthonormal(5, 0.4, 0.4, rule.nodes)
+        p5 = jacobi_orthonormal_table(6, 0.4, 0.4, rule.nodes)[5]
         assert np.sum(rule.weights * p5 * p5) == pytest.approx(1.0, abs=1e-12)
-        # and the pointwise value is what the table recurrence gives
-        assert jacobi_poly_orthonormal(5, 0.4, 0.4, 0.3) == pytest.approx(
-            jacobi_orthonormal_table(6, 0.4, 0.4, np.array([0.3]))[5, 0], abs=1e-14)
 
     @pytest.mark.parametrize("a,b", [(0.0, 0.0), (0.5, 0.5), (-0.3, 0.9), (2.0, 0.0)])
     def test_orthonormality_grid(self, a, b):
@@ -164,13 +159,32 @@ class TestJacobiPoly:
         gram = (table * rule.weights) @ table.T
         assert np.max(np.abs(gram - np.eye(51))) <= 1e-10
 
+    @pytest.mark.parametrize("a,b", [(0.0, 0.0), (0.5, 0.5), (-0.3, 0.9), (2.0, 0.0), (1.3, -0.6)])
+    def test_against_mpmath_oracle(self, a, b):
+        # P_k^(a,b) / sqrt(h_k) with the closed-form norm
+        # h_k = 2^(a+b+1) Gamma(k+a+1) Gamma(k+b+1) / ((2k+a+b+1) Gamma(k+a+b+1) k!)
+        import mpmath as mp
+
+        x = np.array([-0.97, -0.52, 0.05, 0.31, 0.8, 0.999])  # no exact zero of P_k
+        table = jacobi_orthonormal_table(9, a, b, x)
+        with mp.workdps(40):
+            for k in range(9):
+                h = (mp.mpf(2) ** (a + b + 1) * mp.gamma(k + a + 1) * mp.gamma(k + b + 1)
+                     / ((2 * k + a + b + 1) * mp.gamma(k + a + b + 1) * mp.factorial(k)))
+                ref = np.array([float(mp.jacobi(k, a, b, xi) / mp.sqrt(h)) for xi in x])
+                # p_k(0.999) reaches ~70 at a = 2: the bound scales with |p_k| above 1
+                err = np.abs(table[k] - ref) / np.maximum(1.0, np.abs(ref))
+                assert np.max(err) <= 1e-13, k
+
     def test_high_degree_stable(self):
-        vals = jacobi_poly_orthonormal(2000, 0.25, 0.25, np.linspace(-0.99, 0.99, 11))
+        vals = jacobi_orthonormal_table(2001, 0.25, 0.25, np.linspace(-0.99, 0.99, 11))[2000]
         assert np.all(np.isfinite(vals))
 
     def test_rejects_negative_degree(self):
-        with pytest.raises(ValueError):
-            jacobi_poly_orthonormal(-1, 0, 0, 0.0)
+        # an empty table (degree -1) and a negative size are both rejected
+        for nmax in (0, -1):
+            with pytest.raises(ValueError):
+                jacobi_orthonormal_table(nmax, 0, 0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -269,37 +283,6 @@ class TestSymtridiag:
             symtridiag_eigen([1.0, 2.0], [])
         with pytest.raises(ValueError):
             symtridiag_eigen([1.0, np.inf], [0.0])
-
-
-# ---------------------------------------------------------------------------
-# elliptic_S
-# ---------------------------------------------------------------------------
-
-class TestEllipticS:
-    def test_empty_integral(self):
-        for q in (0.0, 0.3, 1.0):
-            assert elliptic_S(1.0, q) == 0.0
-
-    def test_arccos_case(self):
-        assert elliptic_S(0.0, 0.0) == pytest.approx(np.pi / 2, abs=1e-10)
-
-    def test_linear_case(self):
-        assert elliptic_S(0.0, 1.0) == pytest.approx(1.0, abs=1e-10)
-        assert elliptic_S(0.25, 1.0) == pytest.approx(0.75, abs=1e-10)
-
-    def test_against_direct_quadrature(self):
-        from scipy.integrate import quad
-
-        for x, q in [(0.2, 0.5), (0.7, 0.9), (0.05, 0.99)]:
-            direct, _ = quad(lambda t: np.sqrt((1 - q * t * t) / (1 - t * t)), x, 1.0,
-                             epsabs=1e-12, limit=400)
-            assert elliptic_S(x, q) == pytest.approx(direct, abs=1e-9)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            elliptic_S(-0.1, 0.5)
-        with pytest.raises(ValueError):
-            elliptic_S(0.5, 1.5)
 
 
 def test_recurrence_mass_matches_moment_oracle():
