@@ -11,7 +11,7 @@ smoothness index.
 """
 
 from .prolate import EigenSystem, Family, ProlateSpec, build_galerkin, check_bounds, solve
-from .riesz import ExponentTable, RieszConfig, delta_threshold, riesz_mean, riesz_weight
+from .riesz import ExponentTable, RieszConfig, delta_threshold, riesz_mean, riesz_means, riesz_weight
 from .specfun import QuadratureRule, bessel_j, gauss_jacobi
 from .transforms import SampledFunction, finite_fourier, finite_hankel
 
@@ -33,6 +33,7 @@ __all__ = [
     "finite_hankel",
     "gauss_jacobi",
     "riesz_mean",
+    "riesz_means",
     "riesz_weight",
     "solve",
     "__version__",

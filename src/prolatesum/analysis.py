@@ -17,22 +17,30 @@ from .riesz import (
     delta_threshold,
     dual_exponent,
     expansion_coeffs,
-    riesz_mean,
+    riesz_means,
     riesz_weight,
 )
 from .specfun import QuadratureRule, jacobi_orthonormal_table
 from .transforms import SampledFunction
 
 
+def _lp_norms(values: np.ndarray, weights: np.ndarray, p: float) -> np.ndarray:
+    # weighted L^p norm of every sample row of values, over the last axis
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    a = np.abs(values)
+    if p == math.inf:
+        return np.max(a, axis=-1)
+    sums = np.sum(weights * a**p, axis=-1)
+    # scalar pow per value, so a batched norm equals lp_norm bit for bit
+    # (numpy's array power rounds about 5% of roots differently)
+    return np.array([s ** (1.0 / p) for s in sums.ravel()]).reshape(sums.shape)
+
+
 def lp_norm(f: SampledFunction, p: float) -> float:
     """Weighted L^p norm on the sample grid: (sum w_j |f_j|^p)^(1/p),
     max |f_j| for p = inf."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    a = np.abs(f.values)
-    if p == math.inf:
-        return float(np.max(a))
-    return float(np.sum(f.rule.weights * a**p) ** (1.0 / p))
+    return float(_lp_norms(f.values, f.rule.weights, p))
 
 
 def _dense_interior_grid(es: EigenSystem, size: int = 4096) -> np.ndarray:
@@ -79,11 +87,15 @@ def calibrate_b1(es: EigenSystem, min_width: float = 2.0) -> float:
     """Sharp window-counting constant: max over eigenvalue runs of
     count / max(min_width, span).  <= 1 certifies count <= (M - m) for every
     window of width >= min_width."""
+    if not min_width > 0:
+        raise ValueError("min_width must be positive")
     chi = es.chi
+    counts = np.arange(1, chi.size + 1)
     best = 0.0
     for i in range(chi.size):
-        for j in range(i, chi.size):
-            best = max(best, (j - i + 1) / max(min_width, chi[j] - chi[i]))
+        # runs chi[i..j] for every j >= i, one pass per start index: O(m) memory
+        ratios = counts[: chi.size - i] / np.maximum(min_width, chi[i:] - chi[i])
+        best = max(best, float(np.max(ratios)))
     return best
 
 
@@ -226,20 +238,15 @@ def convergence_sweep(f: SampledFunction, es: EigenSystem, p: float, delta: floa
     spec = es.spec
     table = ExponentTable(spec.family, spec.alpha, allow_extended_range=True)
     thr = delta_threshold(table, p)
-    errors = np.empty(R_grid.size)
-    counts = np.empty(R_grid.size, dtype=int)
+    means = riesz_means(f.values[None, :], f.rule, es, R_grid, delta)[:, 0]
+    errors = _lp_norms(f.values - means, f.rule.weights, p)
+    counts = np.array([int(np.sum(es.chi < R)) for R in R_grid])
     parseval_gap = None
     if p == 2:
         a2 = np.abs(expansion_coeffs(f, es)) ** 2
         f2 = np.sum(f.rule.weights * np.abs(f.values) ** 2)
-    for i, R in enumerate(R_grid):
-        cfg = RieszConfig(R=R, delta=delta)
-        g = riesz_mean(f, es, cfg)
-        diff = SampledFunction(rule=f.rule, values=f.values - g.values)
-        errors[i] = lp_norm(diff, p)
-        counts[i] = int(np.sum(es.chi < R))
-        if p == 2:
-            w = riesz_weight(es.chi, cfg)
+        for i, R in enumerate(R_grid):
+            w = riesz_weight(es.chi, RieszConfig(R=R, delta=delta))
             oracle_sq = f2 - 2 * np.sum(w * a2) + np.sum(w**2 * a2)
             gap = abs(errors[i] ** 2 - oracle_sq)
             parseval_gap = gap if parseval_gap is None else max(parseval_gap, gap)
@@ -276,6 +283,13 @@ def convergence_sweep(f: SampledFunction, es: EigenSystem, p: float, delta: floa
     )
 
 
+def _same_rule(r1: QuadratureRule, r2: QuadratureRule) -> bool:
+    return r1 is r2 or (
+        (r1.a, r1.b, r1.interval) == (r2.a, r2.b, r2.interval)
+        and np.array_equal(r1.nodes, r2.nodes) and np.array_equal(r1.weights, r2.weights)
+    )
+
+
 def boundary_probes(es: EigenSystem, rule: QuadratureRule, n_bumps: int = 4,
                     n_deltas: int = 4, n_random: int = 4, seed: int = 0) -> list[SampledFunction]:
     """Probe family for operator-norm estimates: truncated-kernel bumps
@@ -306,18 +320,19 @@ def boundary_probes(es: EigenSystem, rule: QuadratureRule, n_bumps: int = 4,
 
 def operator_norm_probe(es: EigenSystem, p: float, delta: float, R_grid,
                         probes: list[SampledFunction]) -> np.ndarray:
-    """Per-R empirical lower bound sup_probes ||Psi_R^delta f||_p / ||f||_p."""
+    """Per-R empirical lower bound sup_probes ||Psi_R^delta f||_p / ||f||_p.
+
+    Every probe must sit on one quadrature rule; all radii and probes go
+    through one batched synthesis.
+    """
     if not probes:
         raise ValueError("need at least one probe")
-    R_grid = np.asarray(R_grid, dtype=float)
-    out = np.empty(R_grid.size)
-    for i, R in enumerate(R_grid):
-        cfg = RieszConfig(R=R, delta=delta)
-        best = 0.0
-        for f in probes:
-            denom = lp_norm(f, p)
-            if denom == 0:
-                raise ValueError("probes must be nonzero")
-            best = max(best, lp_norm(riesz_mean(f, es, cfg), p) / denom)
-        out[i] = best
-    return out
+    rule = probes[0].rule
+    if not all(_same_rule(f.rule, rule) for f in probes[1:]):
+        raise ValueError("probes must share one quadrature rule")
+    values = np.stack([f.values for f in probes])
+    denoms = _lp_norms(values, rule.weights, p)
+    if np.any(denoms == 0):
+        raise ValueError("probes must be nonzero")
+    means = riesz_means(values, rule, es, R_grid, delta)
+    return np.max(_lp_norms(means, rule.weights, p) / denoms, axis=1)

@@ -244,15 +244,18 @@ def _cmd_verify(cfg: RunConfig) -> int:
 
 def _cmd_sweep(cfg: RunConfig) -> int:
     es = solve(_spec(cfg))
-    if cfg.r_start is None or cfg.r_stop is None:
+    # a missing end of the R grid defaults to chi_4 (start) or the largest
+    # retained eigenvalue (stop); a given end is kept as given
+    if cfg.r_start is None:
         if es.n_retained < 6:
             raise UsageError(
-                f"the default R grid runs from chi_4 to the largest retained eigenvalue "
-                f"and needs at least 6 retained modes, have {es.n_retained}"
+                f"the default R grid start is chi_4 and needs at least 6 retained "
+                f"modes, have {es.n_retained}"
             )
-        r_start, r_stop = float(es.chi[4]), float(es.certified_max)
+        r_start = float(es.chi[4])
     else:
-        r_start, r_stop = cfg.r_start, cfg.r_stop
+        r_start = cfg.r_start
+    r_stop = float(es.certified_max) if cfg.r_stop is None else cfg.r_stop
     es.check_radius(r_stop)
     if not 0 < r_start < r_stop:
         raise UsageError("need 0 < r_start < r_stop")

@@ -10,6 +10,7 @@ term is the only coupling and the Galerkin matrices are banded.
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -60,6 +61,19 @@ def require_family_grid(rule: QuadratureRule, family: Family, alpha: float, what
             f"{what}: sample grid does not match the family quadrature "
             f"({g.rule} for weight (1-x)^{g.a} (1+x)^{g.b} on {g.interval})"
         )
+
+
+@functools.lru_cache(maxsize=16)
+def _family_rule(grid: FamilyGrid, size: int) -> QuadratureRule:
+    # each rule is built once per process (the 16 latest are kept) and shared,
+    # so its arrays are made read-only
+    if grid.interval == (-1.0, 1.0):
+        rule = gauss_jacobi(size, grid.a, grid.b)
+    else:
+        rule = gauss_legendre_01(size)
+    rule.nodes.flags.writeable = False
+    rule.weights.flags.writeable = False
+    return rule
 
 
 @dataclass(frozen=True)
@@ -182,10 +196,9 @@ class EigenSystem:
 
     def default_rule(self, size: int = 512) -> QuadratureRule:
         """The family quadrature: Gauss-Jacobi for the GPSWF weight on
-        (-1, 1), Gauss-Legendre mapped to (0, 1) for CPSWF."""
-        if self.spec.family is Family.GPSWF:
-            return gauss_jacobi(size, self.spec.alpha, self.spec.alpha)
-        return gauss_legendre_01(size)
+        (-1, 1), Gauss-Legendre mapped to (0, 1) for CPSWF.  Built once per
+        process and shared, so its nodes and weights are read-only."""
+        return _family_rule(family_grid(self.spec.family, self.spec.alpha), size)
 
     def _check_domain(self, x: np.ndarray):
         lo, hi = family_grid(self.spec.family, self.spec.alpha).interval

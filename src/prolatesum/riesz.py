@@ -11,6 +11,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .prolate import EigenSystem, Family, require_family_grid
+from .specfun import QuadratureRule
 from .transforms import SampledFunction
 
 
@@ -140,18 +141,39 @@ def expansion_coeffs(f: SampledFunction, es: EigenSystem) -> np.ndarray:
     return modes @ (f.rule.weights * f.values)
 
 
-def riesz_mean(f: SampledFunction, es: EigenSystem, cfg: RieszConfig) -> SampledFunction:
-    """Synthesis sum_n (1 - chi_n/R)_+^delta a_n(f) phi_n on the sample grid.
+def riesz_means(values, rule: QuadratureRule, es: EigenSystem, R_grid,
+                delta: float) -> np.ndarray:
+    """Synthesis sum_n (1 - chi_n/R)_+^delta a_n(f) phi_n for every radius R
+    in R_grid and every row f of values (shape (P, Q), sampled on rule).
 
-    R may not exceed the certified spectral range: truncating the sum beyond
+    Returns shape (len(R_grid), P, Q).  The mode table Phi (m x Q) is
+    evaluated once; one batched product projects every input, a_f =
+    Phi (w * f), and a second synthesises every (R, f) pair from the weight
+    matrix W (m x |R|).  Both are stacks of matrix-vector products, so each
+    value is rounded exactly as a one-radius, one-function synthesis (a
+    single GEMM reorders the sums and moves errors ~1e-5 by ~1e-12 relative).
+    No R may exceed the certified spectral range: truncating the sum beyond
     the retained modes would silently bias the result.
     """
-    es.check_radius(cfg.R)
-    require_family_grid(f.rule, es.spec.family, es.spec.alpha, "riesz_mean")
-    modes = es.mode_matrix(f.rule.nodes)
-    a = modes @ (f.rule.weights * f.values)
-    w = riesz_weight(es.chi, cfg)
-    return SampledFunction(rule=f.rule, values=(w * a) @ modes)
+    values = np.asarray(values)
+    R_grid = np.asarray(R_grid, dtype=float)
+    if values.ndim != 2 or values.shape[1] != rule.size:
+        raise ValueError("values must have shape (P, rule.size)")
+    if R_grid.ndim != 1 or R_grid.size < 1:
+        raise ValueError("R_grid must be a nonempty 1-d sequence")
+    W = np.stack([riesz_weight(es.chi, RieszConfig(R=R, delta=delta)) for R in R_grid], axis=1)
+    es.check_radius(float(np.max(R_grid)))
+    require_family_grid(rule, es.spec.family, es.spec.alpha, "riesz_means")
+    modes = es.mode_matrix(rule.nodes)
+    A = (modes @ (rule.weights * values)[:, :, None])[:, :, 0]  # (P, m)
+    scaled = W.T[:, None, :] * A[None, :, :]  # (|R|, P, m)
+    return (scaled[:, :, None, :] @ modes)[:, :, 0, :]
+
+
+def riesz_mean(f: SampledFunction, es: EigenSystem, cfg: RieszConfig) -> SampledFunction:
+    """Synthesis at one radius for one function: riesz_means with |R| = P = 1."""
+    values = riesz_means(f.values[None, :], f.rule, es, [cfg.R], cfg.delta)[0, 0]
+    return SampledFunction(rule=f.rule, values=values)
 
 
 def riesz_kernel(es: EigenSystem, cfg: RieszConfig, x, y) -> float:

@@ -1,8 +1,11 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prolatesum.analysis import (
     boundary_probes,
@@ -16,8 +19,9 @@ from prolatesum.analysis import (
     norm_growth_fit,
     operator_norm_probe,
 )
-from prolatesum.prolate import Family, ProlateSpec, solve
-from prolatesum.riesz import ExponentTable, RieszConfig, riesz_weight
+from prolatesum.prolate import EigenSystem, Family, ProlateSpec, solve
+from prolatesum.riesz import ExponentTable, RieszConfig, riesz_mean, riesz_weight
+from prolatesum.specfun import gauss_jacobi
 from prolatesum.transforms import SampledFunction, sample_mode
 
 
@@ -87,6 +91,21 @@ class TestEigenvalueCount:
         es0small = solve(ProlateSpec(family=Family.GPSWF, alpha=0.0, c=0.0, N=64))
         assert eigenvalue_count(es0small, 1.0, 7.0) == 2  # chi = 2 and 6
         assert eigenvalue_count(es0small, 2.0, 6.0) == 0  # open interval
+
+    @settings(max_examples=60, deadline=None)
+    @given(chi=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=40, unique=True),
+           min_width=st.floats(0.5, 10.0))
+    def test_b1_equals_brute_force(self, chi, min_width):
+        chi = np.sort(np.array(chi))
+        m = chi.size
+        brute = max((j - i + 1) / max(min_width, chi[j] - chi[i])
+                    for i in range(m) for j in range(i, m))
+        assert calibrate_b1(SimpleNamespace(chi=chi), min_width) == brute
+
+    @pytest.mark.parametrize("min_width", [0.0, -1.0])
+    def test_b1_rejects_nonpositive_width(self, min_width):
+        with pytest.raises(ValueError, match="min_width"):
+            calibrate_b1(SimpleNamespace(chi=np.array([1.0, 2.0])), min_width)
 
     def test_window_counting_bound(self, es):
         rng = np.random.default_rng(23)
@@ -231,6 +250,52 @@ class TestOperatorNormProbe:
     def test_empty_probes_rejected(self, es):
         with pytest.raises(ValueError):
             operator_norm_probe(es, 2.0, 1.0, [10.0], [])
+
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 4.0, math.inf])
+    def test_equals_per_radius_probe_loop(self, es, rule, p):
+        probes = boundary_probes(es, rule, seed=4)
+        R_grid = np.geomspace(float(es.chi[8]), float(es.chi[60]), 5)
+        sups = operator_norm_probe(es, p, 0.7, R_grid, probes)
+        loop = np.array([max(lp_norm(riesz_mean(f, es, RieszConfig(R=R, delta=0.7)), p)
+                             / lp_norm(f, p) for f in probes) for R in R_grid])
+        assert np.max(np.abs(sups - loop) / loop) <= 1e-12
+
+    def test_probes_on_two_rules_rejected(self, es, rule):
+        other = es.default_rule(256)
+        probes = [SampledFunction(rule=rule, values=np.ones(rule.size)),
+                  SampledFunction(rule=other, values=np.ones(other.size))]
+        with pytest.raises(ValueError, match="one quadrature rule"):
+            operator_norm_probe(es, 2.0, 1.0, [float(es.chi[8])], probes)
+
+    def test_separately_built_equal_rule_accepted(self, es, rule):
+        twin = gauss_jacobi(rule.size, 0.0, 0.0)
+        assert twin is not rule
+        probes = [SampledFunction(rule=rule, values=np.ones(rule.size)),
+                  SampledFunction(rule=twin, values=twin.nodes + 2.0)]
+        assert operator_norm_probe(es, 2.0, 1.0, [float(es.chi[8])], probes).shape == (1,)
+
+
+class TestModeEvaluationCount:
+    def test_sweep_and_probe_evaluate_modes_a_fixed_number_of_times(self, es, rule, monkeypatch):
+        f = SampledFunction(rule=rule, values=np.exp(rule.nodes))
+        probes = boundary_probes(es, rule, seed=0)
+        calls = []
+        original = EigenSystem.mode_matrix
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(EigenSystem, "mode_matrix", counting)
+        per_grid = []
+        for count in (2, 16):
+            R_grid = np.geomspace(float(es.chi[4]), es.certified_max, count)
+            calls.clear()
+            convergence_sweep(f, es, 2.0, 1.0, R_grid)  # p = 2 also runs Parseval and lemma 1
+            operator_norm_probe(es, 2.0, 1.0, R_grid, probes)
+            per_grid.append(len(calls))
+        assert per_grid[0] == per_grid[1] <= 6
 
 
 class TestJacobiApproxResidual:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from prolatesum.cli import main
+from prolatesum.prolate import ProlateSpec, solve
 
 
 def run_cli(args, capsys):
@@ -101,6 +102,36 @@ class TestSweep:
         assert code == 1
         assert err.startswith("error:")
         assert f"have {retained}" in err
+
+    def test_lone_r_start_kept(self, tmp_path, capsys):
+        out = tmp_path / "sweep.json"
+        code, _, _ = run_cli(["sweep", "--n", "32", "--r-count", "3", "--r-start", "10",
+                              "--output", str(out)], capsys)
+        assert code == 0
+        data = json.loads(out.read_text())
+        chi = solve(ProlateSpec(family="gpswf", alpha=0.0, c=1.0, N=32)).chi
+        assert data["config"]["r_start"] == 10.0
+        assert data["results"]["R_grid"][0] == 10.0
+        assert data["results"]["R_grid"][-1] == float(chi[-1])
+
+    def test_lone_r_stop_kept(self, tmp_path, capsys):
+        out = tmp_path / "sweep.json"
+        code, _, _ = run_cli(["sweep", "--n", "32", "--r-count", "3", "--r-stop", "100",
+                              "--output", str(out)], capsys)
+        assert code == 0
+        data = json.loads(out.read_text())
+        chi = solve(ProlateSpec(family="gpswf", alpha=0.0, c=1.0, N=32)).chi
+        assert data["config"]["r_stop"] == 100.0
+        assert data["results"]["R_grid"][0] == float(chi[4])
+        assert data["results"]["R_grid"][-1] == 100.0
+
+    def test_few_modes_need_only_a_given_start(self, capsys):
+        # 4 retained modes: too few for the default start chi_4, enough for a given one
+        code, _, err = run_cli(["sweep", "--n", "8", "--r-stop", "20"], capsys)
+        assert code == 1
+        assert "have 4" in err
+        code, _, _ = run_cli(["sweep", "--n", "8", "--r-start", "1", "--r-count", "3"], capsys)
+        assert code == 0
 
     def test_csv_format(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -256,6 +256,36 @@ class TestGram:
         assert np.max(np.abs(gram - np.eye(es.n_retained))) <= 1e-8
 
 
+class TestDefaultRule:
+    @pytest.mark.parametrize("family,alpha,a", [("gpswf", 0.5, 0.5), ("cpswf", 1.5, 0.0)])
+    def test_built_once_and_read_only(self, family, alpha, a):
+        es = solve(ProlateSpec(family=family, alpha=alpha, c=1.0, N=16))
+        first = es.default_rule(48)
+        again = es.default_rule(48)
+        np.testing.assert_array_equal(again.nodes, first.nodes)
+        np.testing.assert_array_equal(again.weights, first.weights)
+        assert again is first
+        # the shared rule carries exactly the values of a fresh build
+        fresh = gauss_jacobi(48, a, a)
+        if family == "cpswf":
+            np.testing.assert_array_equal(first.nodes, (fresh.nodes + 1.0) / 2.0)
+            np.testing.assert_array_equal(first.weights, fresh.weights / 2.0)
+        else:
+            np.testing.assert_array_equal(first.nodes, fresh.nodes)
+            np.testing.assert_array_equal(first.weights, fresh.weights)
+        with pytest.raises(ValueError, match="read-only"):
+            first.nodes[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            first.weights[0] = 0.0
+
+    def test_families_with_equal_weight_get_their_own_rule(self):
+        # gpswf at alpha 0 and cpswf share the Jacobi weight (0, 0) but not the interval
+        g = gpswf(alpha=0.0, N=16).default_rule(32)
+        c = cpswf(alpha=0.5, N=16).default_rule(32)
+        assert g.interval == (-1.0, 1.0) and c.interval == (0.0, 1.0)
+        assert np.all(c.nodes > 0)
+
+
 class TestSerialization:
     def test_json_schema(self):
         es = gpswf(N=16)

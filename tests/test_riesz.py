@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prolatesum.prolate import Family, ProlateSpec, solve
 from prolatesum.riesz import (
@@ -21,6 +23,7 @@ from prolatesum.riesz import (
     gamma_gpswf,
     riesz_kernel,
     riesz_mean,
+    riesz_means,
     riesz_weight,
 )
 from prolatesum.transforms import SampledFunction, sample_mode
@@ -226,6 +229,48 @@ class TestExpansionAndMean:
         f = sample_mode(es, 0, rule=rule)
         with pytest.raises(ValueError, match="exceeds certified spectrum"):
             riesz_mean(f, es, RieszConfig(R=es.certified_max * 1.01, delta=1.0))
+
+
+_SYSTEMS = {}
+
+
+def _system(family, alpha):
+    if (family, alpha) not in _SYSTEMS:
+        _SYSTEMS[family, alpha] = solve(ProlateSpec(family=family, alpha=alpha, c=3.0, N=64))
+    return _SYSTEMS[family, alpha]
+
+
+class TestRieszMeans:
+    @settings(max_examples=30, deadline=None)
+    @given(grid=st.sampled_from([(Family.GPSWF, 0.0), (Family.GPSWF, 1.0), (Family.CPSWF, 0.5)]),
+           fractions=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=5),
+           delta=st.floats(0.05, 4.0))
+    def test_rows_equal_single_radius_means(self, grid, fractions, delta):
+        es = _system(*grid)
+        rule = es.default_rule(128)
+        x = rule.nodes
+        values = np.stack([np.exp(x), np.sin(3.0 * x), 1.0 / (1.0 + 25.0 * x * x)])
+        R_grid = np.array(fractions) * es.certified_max
+        means = riesz_means(values, rule, es, R_grid, delta)
+        assert means.shape == (R_grid.size, 3, rule.size)
+        for i, R in enumerate(R_grid):
+            for k, v in enumerate(values):
+                single = riesz_mean(SampledFunction(rule=rule, values=v), es,
+                                    RieszConfig(R=float(R), delta=delta))
+                assert np.max(np.abs(means[i, k] - single.values)) <= 1e-12 * np.max(np.abs(v))
+
+    def test_largest_radius_checked(self, es, rule):
+        values = np.ones((1, rule.size))
+        with pytest.raises(ValueError, match="exceeds certified spectrum"):
+            riesz_means(values, rule, es, [es.chi[3], es.certified_max * 1.01, es.chi[5]], 1.0)
+
+    def test_shape_and_grid_validation(self, es, rule):
+        with pytest.raises(ValueError, match="shape"):
+            riesz_means(np.ones(rule.size), rule, es, [es.chi[3]], 1.0)
+        with pytest.raises(ValueError, match="nonempty"):
+            riesz_means(np.ones((1, rule.size)), rule, es, [], 1.0)
+        with pytest.raises(ValueError, match="delta"):
+            riesz_means(np.ones((1, rule.size)), rule, es, [es.chi[3]], 0.0)
 
 
 class TestRieszKernel:
