@@ -26,7 +26,7 @@ from .transforms import SampledFunction
 
 def _lp_norms(values: np.ndarray, weights: np.ndarray, p: float) -> np.ndarray:
     # weighted L^p norm of every sample row of values, over the last axis
-    if p < 1:
+    if not p >= 1:
         raise ValueError("p must be >= 1")
     a = np.abs(values)
     if p == math.inf:
@@ -51,8 +51,7 @@ def _dense_interior_grid(es: EigenSystem, size: int = 4096) -> np.ndarray:
     return np.cos(theta / 2.0)
 
 
-def norm_growth_fit(es: EigenSystem, p: float, n_range: tuple[int, int],
-                    rule_size: int = 512) -> float:
+def norm_growth_fit(es: EigenSystem, p: float, n_range: tuple[int, int]) -> float:
     """Least-squares slope of log ||phi_n||_p against log n over n_range.
 
     For p = inf the sup is taken on a dense interior grid that resolves the
@@ -68,9 +67,8 @@ def norm_growth_fit(es: EigenSystem, p: float, n_range: tuple[int, int],
         grid = _dense_interior_grid(es)
         vals = np.max(np.abs(es.mode_matrix(grid)[ns]), axis=1)
     else:
-        rule = es.default_rule(rule_size)
-        modes = es.mode_matrix(rule.nodes)[ns]
-        vals = np.sum(rule.weights * np.abs(modes) ** p, axis=1) ** (1.0 / p)
+        rule = es.default_rule()
+        vals = _lp_norms(es.rule_modes(rule)[ns], rule.weights, p)
     return float(np.polyfit(np.log(ns), np.log(vals), 1)[0])
 
 
@@ -99,6 +97,14 @@ def calibrate_b1(es: EigenSystem, min_width: float = 2.0) -> float:
     return best
 
 
+def _cluster_ratios(a: np.ndarray, chi: np.ndarray, m: float, M: float, g: float, norms):
+    # ||sum_{chi_n in (m,M)} a_n phi_n||_2 / (M^(g/2) (M-m)^(1/2) ||f||_p) for
+    # each coefficient column of a and its norm; zero for an empty window
+    mask = (chi > m) & (chi < M)
+    num = np.sqrt(np.sum(np.abs(a[mask]) ** 2, axis=0))
+    return num / (M ** (g / 2.0) * (M - m) ** 0.5 * norms)
+
+
 def cluster_ratio(f: SampledFunction, es: EigenSystem, m: float, M: float,
                   p: float, table: ExponentTable) -> float:
     """||sum_{chi_n in (m,M)} a_n phi_n||_2 normalized by
@@ -106,33 +112,25 @@ def cluster_ratio(f: SampledFunction, es: EigenSystem, m: float, M: float,
     if not 1 < p <= 2:
         raise ValueError("cluster bound applies for p in (1, 2]")
     a = expansion_coeffs(f, es)
-    mask = (es.chi > m) & (es.chi < M)
-    if not np.any(mask):
-        return 0.0
-    num = float(np.sqrt(np.sum(np.abs(a[mask]) ** 2)))
-    g = table.gamma(dual_exponent(p))
-    return num / (M ** (g / 2.0) * (M - m) ** 0.5 * lp_norm(f, p))
+    return float(_cluster_ratios(a, es.chi, m, M, table.gamma(dual_exponent(p)), lp_norm(f, p)))
 
 
-def calibrate_lemma1(es: EigenSystem, p: float, table: ExponentTable,
-                     n_probes: int = 50, max_degree: int = 20, seed: int = 0,
-                     rule_size: int = 512) -> tuple[float, np.ndarray]:
-    """Cluster-bound constant over random polynomial probes and sliding
-    windows.
+def calibrate_lemma1(es: EigenSystem, rule: QuadratureRule, p: float, table: ExponentTable,
+                     n_probes: int = 50, seed: int = 0) -> tuple[float, np.ndarray]:
+    """Cluster-bound constant over random polynomial probes of degree 1..20,
+    sampled on rule, and sliding windows.
 
     Returns (C, per_probe) where per_probe[i] is probe i's largest ratio over
     all windows and C = max(per_probe) is the calibrated constant.
     """
-    rule = es.default_rule(rule_size)
     rng = np.random.default_rng(seed)
     x = rule.nodes
     probes = np.empty((n_probes, x.size))
     for i in range(n_probes):
-        deg = int(rng.integers(1, max_degree + 1))
+        deg = int(rng.integers(1, 21))
         probes[i] = np.polynomial.polynomial.polyval(x, rng.standard_normal(deg + 1))
-    modes = es.mode_matrix(x)
-    coeffs = modes @ (rule.weights[:, None] * probes.T)  # (m, n_probes)
-    pnorms = np.sum(rule.weights[None, :] * np.abs(probes) ** p, axis=1) ** (1.0 / p)
+    coeffs = es.rule_modes(rule) @ (rule.weights[:, None] * probes.T)  # (m, n_probes)
+    pnorms = _lp_norms(probes, rule.weights, p)
     g = table.gamma(dual_exponent(p))
     windows = []
     chi_max = es.certified_max
@@ -143,11 +141,7 @@ def calibrate_lemma1(es: EigenSystem, p: float, table: ExponentTable,
         w *= 2.0
     per_probe = np.zeros(n_probes)
     for m, M in windows:
-        mask = (es.chi > m) & (es.chi < M)
-        if not np.any(mask):
-            continue
-        nums = np.sqrt(np.sum(coeffs[mask] ** 2, axis=0))
-        per_probe = np.maximum(per_probe, nums / (M ** (g / 2.0) * (M - m) ** 0.5 * pnorms))
+        per_probe = np.maximum(per_probe, _cluster_ratios(coeffs, es.chi, m, M, g, pnorms))
     return float(np.max(per_probe)), per_probe
 
 
@@ -156,7 +150,7 @@ class JacobiApproxResult(NamedTuple):
     amplitude: float
 
 
-def jacobi_approx_residual(es: EigenSystem, n: int, grid_size: int = 4096) -> JacobiApproxResult:
+def jacobi_approx_residual(es: EigenSystem, n: int) -> JacobiApproxResult:
     """Sup-norm distance of eigenfunction n from its single-Jacobi-mode
     approximation A_n J~_n, with A_n the exact basis projection (the n-th
     coefficient of column n).  At c = 0 the residual is identically zero."""
@@ -166,8 +160,7 @@ def jacobi_approx_residual(es: EigenSystem, n: int, grid_size: int = 4096) -> Ja
         raise ValueError("diagnostic valid for 0 <= alpha < 3/2")
     if not 0 <= n < es.n_retained:
         raise ValueError(f"mode {n} is not retained")
-    theta = (np.arange(grid_size) + 0.5) * np.pi / grid_size
-    x = np.cos(theta)
+    x = _dense_interior_grid(es)
     amp = float(es.coeffs[n, n])
     jn = jacobi_orthonormal_table(n + 1, es.spec.alpha, es.spec.alpha, x)[n]
     diff = es.eval(n, x) - amp * jn
@@ -261,7 +254,7 @@ def convergence_sweep(f: SampledFunction, es: EigenSystem, p: float, delta: floa
     passed = bool(errors[0] / errors[-1] >= 10.0) if delta > thr.value else None
     lemma1 = None
     if 1 < p <= 2:
-        lemma1 = calibrate_lemma1(es, p, table)[0]
+        lemma1 = calibrate_lemma1(es, f.rule, p, table)[0]
     return ConvergenceReport(
         family=spec.family.value,
         alpha=spec.alpha,
@@ -290,26 +283,22 @@ def _same_rule(r1: QuadratureRule, r2: QuadratureRule) -> bool:
     )
 
 
-def boundary_probes(es: EigenSystem, rule: QuadratureRule, n_bumps: int = 4,
-                    n_deltas: int = 4, n_random: int = 4, seed: int = 0) -> list[SampledFunction]:
-    """Probe family for operator-norm estimates: truncated-kernel bumps
-    centered near the right endpoint, discrete point masses at the outermost
-    quadrature nodes, and random coefficient vectors.  All normalized in the
-    grid L^2 norm."""
+def boundary_probes(es: EigenSystem, rule: QuadratureRule, seed: int = 0) -> list[SampledFunction]:
+    """Probe family for operator-norm estimates: four truncated-kernel bumps
+    centered near the right endpoint, point masses at the four outermost
+    quadrature nodes, and four random coefficient vectors.  All normalized in
+    the grid L^2 norm."""
     lo, hi = rule.interval
-    modes = es.mode_matrix(rule.nodes)
-    probes = []
-    if n_bumps > 0:
-        x0 = hi - (hi - lo) * np.geomspace(1e-6, 0.25, n_bumps)
-        kernel_cols = es.mode_matrix(x0)
-        for j in range(n_bumps):
-            probes.append(kernel_cols[:, j] @ modes)
-    for j in range(1, n_deltas + 1):
+    modes = es.rule_modes(rule)
+    kernel_cols = es.mode_matrix(hi - (hi - lo) * np.geomspace(1e-6, 0.25, 4))
+    # a product per bump column: one batched product would round differently
+    probes = [kernel_cols[:, j] @ modes for j in range(4)]
+    for j in range(1, 5):
         v = np.zeros(rule.size)
         v[-j] = 1.0 / rule.weights[-j]
         probes.append(v)
     rng = np.random.default_rng(seed)
-    for _ in range(n_random):
+    for _ in range(4):
         probes.append(rng.standard_normal(es.n_retained) @ modes)
     out = []
     for v in probes:

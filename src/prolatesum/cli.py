@@ -66,8 +66,10 @@ class RunConfig:
             raise UsageError("format must be json or csv")
         if self.quad_size < 8:
             raise UsageError("quadrature size must be >= 8")
-        if self.p < 1:
+        if not self.p >= 1:
             raise UsageError("p must be >= 1")
+        if self.p_count < 1:
+            raise UsageError("p grid needs at least 1 point")
         if self.r_count < 2:
             raise UsageError("R grid needs at least 2 points")
         if self.grid_points < 1:
@@ -133,14 +135,14 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
     gaps = np.diff(es.chi)
     checks.append(_check("eigenvalues_strictly_increasing", float(np.min(gaps)), 0.0, larger_ok=True))
 
-    slack = 1e-8 * (1.0 + spec.c**2)
     lo, hi = es.lower_bounds(), es.upper_bounds()
     violation = float(np.max(np.maximum(lo - es.chi, es.chi - hi)))
-    checks.append(_check("eigenvalue_sandwich", violation, slack))
-    checks.append({"name": "eigenvalue_sandwich_all_true", "pass": bool(np.all(check_bounds(es))),
-                   "value": float(np.sum(check_bounds(es))), "tolerance": float(es.n_retained)})
+    checks.append(_check("eigenvalue_sandwich", violation, es.bounds_slack))
+    in_bounds = check_bounds(es)
+    checks.append({"name": "eigenvalue_sandwich_all_true", "pass": bool(np.all(in_bounds)),
+                   "value": float(np.sum(in_bounds)), "tolerance": float(es.n_retained)})
 
-    modes = es.mode_matrix(rule.nodes)
+    modes = es.rule_modes(rule)
     gram = (modes * rule.weights) @ modes.T
     checks.append(_check("orthonormality_gram", float(np.max(np.abs(gram - np.eye(es.n_retained)))), 1e-8))
 
@@ -205,7 +207,7 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
         worst_resid = 0.0
         worst_qc = 0.0
         for nn in range(min(9, es.n_retained)):
-            f = transforms.sample_mode(es, nn, rule=rule)
+            f = transforms.SampledFunction(rule=rule, values=modes[nn])
             g = transforms.family_transform(es, f)
             mu = transforms.rayleigh(g, f)
             if abs(mu) < noise_floor:
@@ -276,14 +278,9 @@ def _cmd_sweep(cfg: RunConfig) -> int:
 def _cmd_kernel(cfg: RunConfig) -> int:
     es = solve(_spec(cfg))
     R = cfg.R if cfg.R is not None else float(es.certified_max)
-    es.check_radius(R)
-    rc = RieszConfig(R=R, delta=cfg.delta)
     lo, hi = family_grid(es.spec.family, es.spec.alpha).interval
     pts = lo + (hi - lo) * (np.arange(cfg.grid_points) + 0.5) / cfg.grid_points
-    w = riesz.riesz_weight(es.chi, rc)
-    modes = es.mode_matrix(pts)
-    K = (modes * w[:, None]).T @ modes
-    K = np.triu(K) + np.triu(K, 1).T  # exactly symmetric tabulation
+    K = riesz.riesz_kernel_table(es, RieszConfig(R=R, delta=cfg.delta), pts)
     if cfg.fmt == "json":
         _emit(cfg, {"R": R, "delta": cfg.delta, "points": pts.tolist(), "kernel": K.tolist()}, [])
     else:
@@ -337,6 +334,10 @@ def _cmd_exponents(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
+    # options left out stay out of the namespace: every default is RunConfig's
+    def __init__(self, **kwargs):
+        super().__init__(argument_default=argparse.SUPPRESS, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -347,59 +348,54 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_family_args(sp):
-        sp.add_argument("--family", default="gpswf", choices=["gpswf", "cpswf"])
-        sp.add_argument("--alpha", type=float, default=0.0)
-        sp.add_argument("--c", type=float, default=1.0)
-        sp.add_argument("--n", type=int, default=128, dest="N")
-        sp.add_argument("--keep-fraction", type=float, default=0.5)
-        sp.add_argument("--quad-size", type=int, default=512)
+        sp.add_argument("--family", choices=["gpswf", "cpswf"])
+        sp.add_argument("--alpha", type=float)
+        sp.add_argument("--c", type=float)
+        sp.add_argument("--n", type=int, dest="N")
+        sp.add_argument("--keep-fraction", type=float)
+        sp.add_argument("--quad-size", type=int)
 
     def add_io_args(sp):
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--output", default=None)
-        sp.add_argument("--format", default="json", choices=["json", "csv"], dest="fmt")
+        sp.add_argument("--seed", type=int)
+        sp.add_argument("--output")
+        sp.add_argument("--format", choices=["json", "csv"], dest="fmt")
 
     sp = sub.add_parser("basis", help="solve the eigenproblem and export it")
     add_family_args(sp); add_io_args(sp)
 
     sp = sub.add_parser("verify", help="run the aggregated verification battery")
     add_family_args(sp); add_io_args(sp)
-    sp.add_argument("--delta", type=float, default=1.0)
+    sp.add_argument("--delta", type=float)
 
     sp = sub.add_parser("sweep", help="convergence sweep over a geometric R grid")
     add_family_args(sp); add_io_args(sp)
-    sp.add_argument("--p", type=float, default=2.0)
-    sp.add_argument("--delta", type=float, default=1.0)
-    sp.add_argument("--r-start", type=float, default=None)
-    sp.add_argument("--r-stop", type=float, default=None)
-    sp.add_argument("--r-count", type=int, default=8)
-    sp.add_argument("--fn", default="exp", choices=["exp", "sin", "runge"])
+    sp.add_argument("--p", type=float)
+    sp.add_argument("--delta", type=float)
+    sp.add_argument("--r-start", type=float)
+    sp.add_argument("--r-stop", type=float)
+    sp.add_argument("--r-count", type=int)
+    sp.add_argument("--fn", choices=["exp", "sin", "runge"])
 
     sp = sub.add_parser("kernel", help="tabulate the summation kernel on a grid")
     add_family_args(sp); add_io_args(sp)
-    sp.add_argument("--R", type=float, default=None)
-    sp.add_argument("--delta", type=float, default=1.0)
-    sp.add_argument("--grid-points", type=int, default=16)
+    sp.add_argument("--R", type=float)
+    sp.add_argument("--delta", type=float)
+    sp.add_argument("--grid-points", type=int)
 
     sp = sub.add_parser("exponents", help="print the exponent and threshold tables")
-    sp.add_argument("--family", default="gpswf", choices=["gpswf", "cpswf"])
-    sp.add_argument("--alpha", type=float, default=0.0)
-    sp.add_argument("--p", type=float, default=None, dest="p_value")
-    sp.add_argument("--p-start", type=float, default=1.05)
-    sp.add_argument("--p-stop", type=float, default=64.0)
-    sp.add_argument("--p-count", type=int, default=12)
-    sp.add_argument("--eps-choice", type=float, default=0.01)
+    sp.add_argument("--family", choices=["gpswf", "cpswf"])
+    sp.add_argument("--alpha", type=float)
+    sp.add_argument("--p", type=float, dest="p_value")
+    sp.add_argument("--p-start", type=float)
+    sp.add_argument("--p-stop", type=float)
+    sp.add_argument("--p-count", type=int)
+    sp.add_argument("--eps-choice", type=float)
     add_io_args(sp)
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in vars(args):
-        if hasattr(cfg, name):
-            value = getattr(args, name)
-            if value is not None or name in ("r_start", "r_stop", "R", "p_value", "output"):
-                setattr(cfg, name, value)
+    cfg = RunConfig(**vars(args))
     cfg.validate()
     return cfg
 

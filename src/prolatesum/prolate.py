@@ -65,15 +65,10 @@ def require_family_grid(rule: QuadratureRule, family: Family, alpha: float, what
 
 @functools.lru_cache(maxsize=16)
 def _family_rule(grid: FamilyGrid, size: int) -> QuadratureRule:
-    # each rule is built once per process (the 16 latest are kept) and shared,
-    # so its arrays are made read-only
+    # each rule is built once per process (the 16 latest are kept) and shared
     if grid.interval == (-1.0, 1.0):
-        rule = gauss_jacobi(size, grid.a, grid.b)
-    else:
-        rule = gauss_legendre_01(size)
-    rule.nodes.flags.writeable = False
-    rule.weights.flags.writeable = False
-    return rule
+        return gauss_jacobi(size, grid.a, grid.b)
+    return gauss_legendre_01(size)
 
 
 @dataclass(frozen=True)
@@ -175,6 +170,8 @@ class EigenSystem:
     chi: np.ndarray
     coeffs: np.ndarray
     parity: np.ndarray | None = field(default=None)
+    # id(rule) -> (rule, mode table); holding the rule keeps its id unique
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_retained(self) -> int:
@@ -194,11 +191,25 @@ class EigenSystem:
                 f"R exceeds certified spectrum (R={R}, certified max={self.certified_max})"
             )
 
+    @property
+    def bounds_slack(self) -> float:
+        """Floating-point slack of the eigenvalue sandwich check."""
+        return 1e-8 * (1.0 + self.spec.c**2)
+
     def default_rule(self, size: int = 512) -> QuadratureRule:
         """The family quadrature: Gauss-Jacobi for the GPSWF weight on
         (-1, 1), Gauss-Legendre mapped to (0, 1) for CPSWF.  Built once per
-        process and shared, so its nodes and weights are read-only."""
+        process and shared."""
         return _family_rule(family_grid(self.spec.family, self.spec.alpha), size)
+
+    def rule_modes(self, rule: QuadratureRule) -> np.ndarray:
+        """The mode table mode_matrix(rule.nodes) that every projection and
+        synthesis on rule reads: evaluated once per rule object, read-only."""
+        if id(rule) not in self._tables:
+            table = self.mode_matrix(rule.nodes)
+            table.flags.writeable = False
+            self._tables[id(rule)] = (rule, table)
+        return self._tables[id(rule)][1]
 
     def _check_domain(self, x: np.ndarray):
         lo, hi = family_grid(self.spec.family, self.spec.alpha).interval
@@ -309,10 +320,9 @@ def solve(spec: ProlateSpec) -> EigenSystem:
     )
 
 
-def check_bounds(es: EigenSystem, slack: float | None = None) -> np.ndarray:
+def check_bounds(es: EigenSystem) -> np.ndarray:
     """Per-n flags for the eigenvalue sandwich
-    lower(n) <= chi_n <= lower(n) + c^2, with floating-point slack."""
-    if slack is None:
-        slack = 1e-8 * (1.0 + es.spec.c**2)
+    lower(n) <= chi_n <= lower(n) + c^2, with slack es.bounds_slack."""
+    slack = es.bounds_slack
     lo, hi = es.lower_bounds(), es.upper_bounds()
     return (es.chi >= lo - slack) & (es.chi <= hi + slack)

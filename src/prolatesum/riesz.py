@@ -137,8 +137,7 @@ def dyadic_tail(chi, cfg: RieszConfig):
 def expansion_coeffs(f: SampledFunction, es: EigenSystem) -> np.ndarray:
     """Coefficients a_n = sum_j w_j f(y_j) phi_n(y_j) for every retained n."""
     require_family_grid(f.rule, es.spec.family, es.spec.alpha, "expansion_coeffs")
-    modes = es.mode_matrix(f.rule.nodes)
-    return modes @ (f.rule.weights * f.values)
+    return es.rule_modes(f.rule) @ (f.rule.weights * f.values)
 
 
 def riesz_means(values, rule: QuadratureRule, es: EigenSystem, R_grid,
@@ -147,7 +146,7 @@ def riesz_means(values, rule: QuadratureRule, es: EigenSystem, R_grid,
     in R_grid and every row f of values (shape (P, Q), sampled on rule).
 
     Returns shape (len(R_grid), P, Q).  The mode table Phi (m x Q) is
-    evaluated once; one batched product projects every input, a_f =
+    es.rule_modes(rule); one batched product projects every input, a_f =
     Phi (w * f), and a second synthesises every (R, f) pair from the weight
     matrix W (m x |R|).  Both are stacks of matrix-vector products, so each
     value is rounded exactly as a one-radius, one-function synthesis (a
@@ -164,7 +163,7 @@ def riesz_means(values, rule: QuadratureRule, es: EigenSystem, R_grid,
     W = np.stack([riesz_weight(es.chi, RieszConfig(R=R, delta=delta)) for R in R_grid], axis=1)
     es.check_radius(float(np.max(R_grid)))
     require_family_grid(rule, es.spec.family, es.spec.alpha, "riesz_means")
-    modes = es.mode_matrix(rule.nodes)
+    modes = es.rule_modes(rule)
     A = (modes @ (rule.weights * values)[:, :, None])[:, :, 0]  # (P, m)
     scaled = W.T[:, None, :] * A[None, :, :]  # (|R|, P, m)
     return (scaled[:, :, None, :] @ modes)[:, :, 0, :]
@@ -176,14 +175,20 @@ def riesz_mean(f: SampledFunction, es: EigenSystem, cfg: RieszConfig) -> Sampled
     return SampledFunction(rule=f.rule, values=values)
 
 
-def riesz_kernel(es: EigenSystem, cfg: RieszConfig, x, y) -> float:
-    """K_R^delta(x, y) = sum_n (1 - chi_n/R)_+^delta phi_n(x) phi_n(y)."""
+def riesz_kernel_table(es: EigenSystem, cfg: RieszConfig, points) -> np.ndarray:
+    """K_R^delta(x_i, x_j) = sum_n (1 - chi_n/R)_+^delta phi_n(x_i) phi_n(x_j)
+    for every pair of points, exactly symmetric: the upper triangle mirrored."""
     es.check_radius(cfg.R)
     w = riesz_weight(es.chi, cfg)
-    px = es.mode_matrix(np.atleast_1d(float(x)))[:, 0]
-    py = es.mode_matrix(np.atleast_1d(float(y)))[:, 0]
-    # px*py first so the value is exactly symmetric in (x, y)
-    return float(np.sum(w * (px * py)))
+    modes = es.mode_matrix(points)
+    K = (modes * w[:, None]).T @ modes
+    return np.triu(K) + np.triu(K, 1).T
+
+
+def riesz_kernel(es: EigenSystem, cfg: RieszConfig, x, y) -> float:
+    """K_R^delta(x, y): the table on the sorted pair, so exactly symmetric."""
+    lo, hi = sorted((float(x), float(y)))
+    return float(riesz_kernel_table(es, cfg, np.array([lo, hi]))[0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +218,9 @@ def gamma_gpswf(alpha: float, p: float, eps_choice: float = 0.01,
     2(alpha+1)(1/2 - 1/p) - 1/2 above it, with p'_0 dual to
     p_0 = 2 - 1/(alpha + 3/2).
     """
-    if p < 1:
+    if not p >= 1:
         raise ValueError("p must be >= 1")
-    if eps_choice <= 0:
+    if not eps_choice > 0:
         raise ValueError("eps_choice must be positive")
     if not allow_extended_range and not 0.0 <= alpha < 1.5:
         raise ValueError(
@@ -240,9 +245,9 @@ def gamma_cpswf(p: float, eps_choice: float = 0.01) -> float:
     """Norm-growth exponent gamma(p) of the circular-family theorem:
     1 at p=1, 1/p - 1/2 for 1 < p < 4, eps_choice - 1/4 at p = 4, and
     (1/3)(1/p - 1) for p > 4, implemented verbatim from the stated table."""
-    if p < 1:
+    if not p >= 1:
         raise ValueError("p must be >= 1")
-    if eps_choice <= 0:
+    if not eps_choice > 0:
         raise ValueError("eps_choice must be positive")
     if p == 1:
         return 1.0
@@ -266,7 +271,7 @@ class ExponentTable:
 
     def __post_init__(self):
         object.__setattr__(self, "family", Family(self.family))
-        if self.eps_choice <= 0:
+        if not self.eps_choice > 0:
             raise ValueError("eps_choice must be positive")
 
     @property
@@ -302,7 +307,7 @@ def delta_threshold(table: ExponentTable, p: float) -> DeltaThreshold:
     (equivalently p' = p'_0), where the threshold involves the arbitrary
     eps_choice; the circular family's theorem excludes no exponent.
     """
-    if p < 1:
+    if not p >= 1:
         raise ValueError("p must be >= 1")
     p_dual = dual_exponent(p)
     crit = (table.family is Family.GPSWF and p_dual != math.inf

@@ -29,7 +29,8 @@ class QuadratureRule:
 
     The weight is (1-x)^a (1+x)^b on interval=(-1, 1).  Rules mapped to other
     intervals (e.g. Gauss-Legendre on (0, 1)) keep a/b of the generating
-    weight and record the mapped interval.
+    weight and record the mapped interval.  Nodes and weights are read-only
+    copies, so tables evaluated on a rule cannot go stale.
     """
 
     a: float
@@ -37,6 +38,12 @@ class QuadratureRule:
     interval: tuple[float, float]
     nodes: np.ndarray
     weights: np.ndarray
+
+    def __post_init__(self):
+        for name in ("nodes", "weights"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def size(self) -> int:

@@ -17,10 +17,6 @@ from scipy.special import gamma
 from .prolate import EigenSystem, Family, require_family_grid
 from .specfun import QuadratureRule, bessel_j
 
-# |mu_n| below this is pure rounding noise in double precision; such modes are
-# reported as below the noise floor and excluded from relative residual checks
-MU_NOISE_FLOOR = 1e-13
-
 
 @dataclass
 class SampledFunction:
@@ -116,8 +112,7 @@ def rayleigh(g: SampledFunction, f: SampledFunction) -> complex:
     return complex(np.sum(f.rule.weights * g.values * f.values))
 
 
-def estimate_mu(alpha: float, c: float, es: EigenSystem, n: int,
-                size: int = 512) -> complex:
+def estimate_mu(alpha: float, c: float, es: EigenSystem, n: int) -> complex:
     """Transform eigenvalue mu_n by Rayleigh projection <T phi_n, phi_n>.
 
     The projection is robust where phi_n has zeros; for GPSWF the phase of
@@ -125,7 +120,5 @@ def estimate_mu(alpha: float, c: float, es: EigenSystem, n: int,
     """
     if alpha != es.spec.alpha or c != es.spec.c:
         raise ValueError("alpha/c must match the eigensystem parameters")
-    if not 0 <= n < es.n_retained:
-        raise ValueError(f"mode {n} is not retained")
-    f = sample_mode(es, n, size=size)
+    f = sample_mode(es, n)
     return rayleigh(family_transform(es, f), f)

@@ -160,7 +160,7 @@ class TestClusterRatio:
 
     def test_probe_sweep_no_blowup(self, es):
         table = ExponentTable(Family.GPSWF, 0.0)
-        cmax, per_probe = calibrate_lemma1(es, 1.5, table, n_probes=50, seed=9)
+        cmax, per_probe = calibrate_lemma1(es, es.default_rule(), 1.5, table, n_probes=50, seed=9)
         assert np.isfinite(cmax) and cmax > 0
         assert cmax <= 10.0 * np.median(per_probe)
 
@@ -322,3 +322,11 @@ class TestJacobiApproxResidual:
             es_wide = solve(ProlateSpec(family=Family.GPSWF, alpha=1.8, c=1.0, N=32))
         with pytest.raises(ValueError):
             jacobi_approx_residual(es_wide, 0)
+
+
+class TestNanExponent:
+    def test_lp_norm_rejects_nan_p(self, rule):
+        f = SampledFunction(rule=rule, values=np.ones(rule.size))
+        with pytest.raises(ValueError):
+            lp_norm(f, float("nan"))
+        assert lp_norm(f, math.inf) == 1.0

@@ -1,9 +1,12 @@
 import json
+from dataclasses import asdict
 
+import numpy as np
 import pytest
 
-from prolatesum.cli import main
-from prolatesum.prolate import ProlateSpec, solve
+from prolatesum.cli import RunConfig, build_parser, config_from_args, main
+from prolatesum.prolate import EigenSystem, ProlateSpec, solve
+from prolatesum.riesz import RieszConfig, riesz_kernel_table
 
 
 def run_cli(args, capsys):
@@ -220,3 +223,74 @@ class TestErrors:
         monkeypatch.setitem(cli._COMMANDS, "basis", boom)
         assert main(["basis"]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+
+class TestNanArguments:
+    @pytest.mark.parametrize("args", [
+        ["sweep", "--n", "64", "--p", "nan", "--r-count", "4"],
+        ["exponents", "--p", "nan"],
+        ["exponents", "--eps-choice", "nan", "--p", "4"],
+        ["exponents", "--p-count", "0"],
+        ["exponents", "--p-count", "-2"],
+    ])
+    def test_exit_1(self, args, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        code, _, err = run_cli(args + ["--output", str(out)], capsys)
+        assert code == 1
+        assert "error:" in err
+        assert not out.exists()
+
+
+class TestDefaults:
+    @pytest.mark.parametrize("command", ["basis", "verify", "sweep", "kernel", "exponents"])
+    def test_defaults_are_run_config_defaults(self, command):
+        assert config_from_args(build_parser().parse_args([command])) == RunConfig(command=command)
+
+    def test_artifact_config_block(self, tmp_path, capsys):
+        out = tmp_path / "es.json"
+        assert main(["basis", "--n", "16", "--output", str(out)]) == 0
+        config = json.loads(out.read_text())["config"]
+        assert config == asdict(RunConfig(command="basis", N=16, output=str(out)))
+
+
+class TestModeTable:
+    @pytest.mark.parametrize("p", ["1.5", "2", "4"])
+    def test_sweep_evaluates_modes_twice(self, p, tmp_path, capsys, monkeypatch):
+        # once on the quadrature rule, once at the four bump centres
+        calls = []
+        original = EigenSystem.mode_matrix
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(EigenSystem, "mode_matrix", counting)
+        out = tmp_path / "sweep.json"
+        assert main(["sweep", "--n", "64", "--quad-size", "128", "--p", p,
+                     "--r-count", "4", "--output", str(out)]) == 0
+        assert len(calls) == 2
+
+    def test_sweep_builds_only_its_own_rule(self, tmp_path, capsys, monkeypatch):
+        sizes = []
+        original = EigenSystem.default_rule
+
+        def recording(self, size=512):
+            sizes.append(size)
+            return original(self, size)
+
+        monkeypatch.setattr(EigenSystem, "default_rule", recording)
+        out = tmp_path / "sweep.json"
+        assert main(["sweep", "--n", "64", "--quad-size", "256", "--p", "1.5",
+                     "--r-count", "4", "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["results"]["lemma1_constant"] > 0
+        assert sizes and set(sizes) == {256}
+
+    def test_kernel_artifact_is_the_library_table(self, tmp_path, capsys):
+        out = tmp_path / "kernel.json"
+        assert main(["kernel", "--family", "cpswf", "--alpha", "0.5", "--n", "32",
+                     "--grid-points", "7", "--output", str(out)]) == 0
+        res = json.loads(out.read_text())["results"]
+        es = solve(ProlateSpec(family="cpswf", alpha=0.5, c=1.0, N=32))
+        K = riesz_kernel_table(es, RieszConfig(R=res["R"], delta=res["delta"]),
+                               np.array(res["points"]))
+        assert res["kernel"] == K.tolist()

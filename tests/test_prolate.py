@@ -306,3 +306,21 @@ class TestSerialization:
         assert int(first[0]) == 0
         assert float(first[1]) == pytest.approx(es.chi[0])
         assert float(first[3]) - float(first[2]) == pytest.approx(4.0)
+
+
+class TestRuleModes:
+    @pytest.mark.parametrize("family,alpha", [("gpswf", 0.5), ("cpswf", 1.5)])
+    def test_one_read_only_table_per_rule_object(self, family, alpha):
+        es = solve(ProlateSpec(family=family, alpha=alpha, c=2.0, N=32))
+        rule = es.default_rule(40)
+        table = es.rule_modes(rule)
+        assert es.rule_modes(rule) is table
+        np.testing.assert_array_equal(table, es.mode_matrix(rule.nodes))
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.0
+        # an equal rule built separately is another object: it gets its own table
+        twin = type(rule)(a=rule.a, b=rule.b, interval=rule.interval,
+                          nodes=rule.nodes, weights=rule.weights)
+        twin_table = es.rule_modes(twin)
+        assert twin_table is not table
+        np.testing.assert_array_equal(twin_table, table)

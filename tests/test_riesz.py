@@ -22,6 +22,7 @@ from prolatesum.riesz import (
     gamma_cpswf,
     gamma_gpswf,
     riesz_kernel,
+    riesz_kernel_table,
     riesz_mean,
     riesz_means,
     riesz_weight,
@@ -388,3 +389,32 @@ def test_dual_exponent():
     assert dual_exponent(math.inf) == 1.0
     assert dual_exponent(2.0) == 2.0
     assert dual_exponent(4.0) == pytest.approx(4.0 / 3.0)
+
+
+class TestNanArguments:
+    def test_nan_p_and_eps_choice_rejected(self):
+        nan = float("nan")
+        table = ExponentTable(Family.GPSWF, 0.0)
+        for call in (lambda: gamma_gpswf(0.0, nan), lambda: gamma_cpswf(nan),
+                     lambda: gamma_gpswf(0.0, 4.0, eps_choice=nan),
+                     lambda: gamma_cpswf(4.0, eps_choice=nan),
+                     lambda: delta_threshold(table, nan),
+                     lambda: ExponentTable(Family.CPSWF, 0.5, eps_choice=nan)):
+            with pytest.raises(ValueError):
+                call()
+        assert delta_threshold(table, math.inf).value == 0.5  # p = inf stays valid
+
+
+class TestRieszKernelTable:
+    @pytest.mark.parametrize("family,alpha,lo", [("gpswf", 0.0, -1.0), ("cpswf", 0.5, 0.0)])
+    def test_scalar_kernel_matches_table(self, family, alpha, lo):
+        es = solve(ProlateSpec(family=family, alpha=alpha, c=4.0, N=64))
+        cfg = RieszConfig(R=float(es.chi[20]), delta=1.0)
+        pts = lo + (1.0 - lo) * (np.arange(12) + 0.5) / 12
+        K = riesz_kernel_table(es, cfg, pts)
+        assert np.array_equal(K, K.T)
+        scalar = np.array([[riesz_kernel(es, cfg, x, y) for y in pts] for x in pts])
+        assert np.array_equal(scalar, scalar.T)
+        # the table and the two-point case are GEMMs of different shapes, which
+        # BLAS may round differently
+        assert np.max(np.abs(scalar - K)) <= 1e-13 * np.max(np.abs(K))

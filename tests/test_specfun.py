@@ -3,6 +3,7 @@ import pytest
 from scipy.special import jv
 
 from prolatesum.specfun import (
+    QuadratureRule,
     bessel_j,
     gauss_jacobi,
     gauss_legendre_01,
@@ -289,3 +290,18 @@ def test_recurrence_mass_matches_moment_oracle():
     for a, b in [(0.0, 0.0), (0.5, 0.5), (1.3, -0.2)]:
         _, beta = jacobi_recurrence(3, a, b)
         assert beta[0] == pytest.approx(jacobi_moments(0, a, b)[0], rel=1e-14)
+
+
+class TestRulesReadOnly:
+    @pytest.mark.parametrize("build", [lambda: gauss_jacobi(9, 0.5, 0.5), lambda: gauss_legendre_01(9)])
+    def test_rules_reject_writes(self, build):
+        rule = build()
+        for arr in (rule.nodes, rule.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    def test_rule_copies_the_arrays_it_is_given(self):
+        nodes, weights = np.array([-0.5, 0.5]), np.array([1.0, 1.0])
+        rule = QuadratureRule(a=0.0, b=0.0, interval=(-1.0, 1.0), nodes=nodes, weights=weights)
+        nodes[0] = 0.0
+        assert rule.nodes[0] == -0.5 and nodes.flags.writeable

@@ -1,0 +1,42 @@
+"""The benchmark's tracer binds prolatesum names and argument names
+(`EigenSystem.mode_matrix(x, check_domain)`, the transforms' `f`): run a tiny
+traced op of each traced kind so that a rename fails here, not at benchmark time."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import prolatesum
+
+SRC = os.path.dirname(os.path.dirname(prolatesum.__file__))
+WORKER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "perfbench", "worker.py")
+SMALL = ["--n", "16", "--quad-size", "32"]
+
+
+@pytest.mark.parametrize("args,expected", [
+    (["verify", "--c", "2"], {"prolate.rule_modes", "transforms.finite_fourier"}),
+    (["sweep", "--family", "cpswf", "--alpha", "0.5", "--p", "1.5", "--r-count", "3"],
+     {"prolate.rule_modes", "analysis.calibrate_lemma1"}),
+    (["kernel", "--grid-points", "4"], {"riesz.riesz_kernel_table"}),
+])
+def test_traced_worker_op(args, expected, tmp_path):
+    spans_path = tmp_path / "spans.jsonl"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    cmd = [sys.executable, WORKER, "--trace", str(spans_path), "--op-id", "0", "--",
+           *args, *SMALL, "--output", str(tmp_path / "out.json")]
+    out = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout.strip().splitlines()[-1])["rc"] == 0
+    with open(spans_path) as fh:
+        fh.readline()  # header: the wrapped names
+        spans = [json.loads(line) for line in fh]
+    names = {s["name"] for s in spans}
+    assert expected <= names
+    assert all("flops" in s for s in spans if s["name"] == "prolate.mode_matrix")
+    assert any(s["name"] == "prolate.mode_matrix" for s in spans)
+    if args[0] == "verify":
+        assert any("kernel_entries" in s for s in spans if s["name"].startswith("transforms."))
