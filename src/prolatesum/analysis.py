@@ -129,7 +129,7 @@ def calibrate_lemma1(es: EigenSystem, rule: QuadratureRule, p: float, table: Exp
     for i in range(n_probes):
         deg = int(rng.integers(1, 21))
         probes[i] = np.polynomial.polynomial.polyval(x, rng.standard_normal(deg + 1))
-    coeffs = es.rule_modes(rule) @ (rule.weights[:, None] * probes.T)  # (m, n_probes)
+    coeffs = expansion_coeffs(SampledFunction(rule=rule, values=probes), es).T  # (m, n_probes)
     pnorms = _lp_norms(probes, rule.weights, p)
     g = table.gamma(dual_exponent(p))
     windows = []
@@ -276,50 +276,34 @@ def convergence_sweep(f: SampledFunction, es: EigenSystem, p: float, delta: floa
     )
 
 
-def _same_rule(r1: QuadratureRule, r2: QuadratureRule) -> bool:
-    return r1 is r2 or (
-        (r1.a, r1.b, r1.interval) == (r2.a, r2.b, r2.interval)
-        and np.array_equal(r1.nodes, r2.nodes) and np.array_equal(r1.weights, r2.weights)
-    )
-
-
-def boundary_probes(es: EigenSystem, rule: QuadratureRule, seed: int = 0) -> list[SampledFunction]:
-    """Probe family for operator-norm estimates: four truncated-kernel bumps
-    centered near the right endpoint, point masses at the four outermost
-    quadrature nodes, and four random coefficient vectors.  All normalized in
-    the grid L^2 norm."""
+def boundary_probes(es: EigenSystem, rule: QuadratureRule, seed: int = 0) -> SampledFunction:
+    """Probe block for operator-norm estimates, shape (12, Q) on rule: four
+    truncated-kernel bumps centered near the right endpoint, point masses at
+    the four outermost quadrature nodes, and four random coefficient vectors.
+    Every row is normalized in the grid L^2 norm."""
     lo, hi = rule.interval
     modes = es.rule_modes(rule)
     kernel_cols = es.mode_matrix(hi - (hi - lo) * np.geomspace(1e-6, 0.25, 4))
-    # a product per bump column: one batched product would round differently
-    probes = [kernel_cols[:, j] @ modes for j in range(4)]
-    for j in range(1, 5):
-        v = np.zeros(rule.size)
-        v[-j] = 1.0 / rule.weights[-j]
-        probes.append(v)
     rng = np.random.default_rng(seed)
-    for _ in range(4):
-        probes.append(rng.standard_normal(es.n_retained) @ modes)
-    out = []
-    for v in probes:
-        scale = np.sqrt(np.sum(rule.weights * np.abs(v) ** 2))
-        out.append(SampledFunction(rule=rule, values=v / scale))
-    return out
+    # a vector-matrix product per row: one GEMM would round differently
+    bumps = [col @ modes for col in kernel_cols.T]
+    randoms = [coef @ modes for coef in rng.standard_normal((4, es.n_retained))]
+    j = np.arange(1, 5)
+    masses = np.zeros((4, rule.size))
+    masses[j - 1, -j] = 1.0 / rule.weights[-j]
+    probes = np.vstack([*bumps, masses, *randoms])
+    scale = np.sqrt(np.sum(rule.weights * np.abs(probes) ** 2, axis=-1))
+    return SampledFunction(rule=rule, values=probes / scale[:, None])
 
 
 def operator_norm_probe(es: EigenSystem, p: float, delta: float, R_grid,
-                        probes: list[SampledFunction]) -> np.ndarray:
-    """Per-R empirical lower bound sup_probes ||Psi_R^delta f||_p / ||f||_p.
-
-    Every probe must sit on one quadrature rule; all radii and probes go
-    through one batched synthesis.
-    """
-    if not probes:
-        raise ValueError("need at least one probe")
-    rule = probes[0].rule
-    if not all(_same_rule(f.rule, rule) for f in probes[1:]):
-        raise ValueError("probes must share one quadrature rule")
-    values = np.stack([f.values for f in probes])
+                        probes: SampledFunction) -> np.ndarray:
+    """Per-R empirical lower bound sup_probes ||Psi_R^delta f||_p / ||f||_p
+    over the rows f of the probe block; all radii and probes go through one
+    batched synthesis."""
+    values, rule = probes.values, probes.rule
+    if values.ndim != 2 or values.shape[0] == 0:
+        raise ValueError("need a nonempty block of probes, shape (k, Q)")
     denoms = _lp_norms(values, rule.weights, p)
     if np.any(denoms == 0):
         raise ValueError("probes must be nonzero")

@@ -68,6 +68,8 @@ class RunConfig:
             raise UsageError("quadrature size must be >= 8")
         if not self.p >= 1:
             raise UsageError("p must be >= 1")
+        if not (math.isfinite(self.p_start) and math.isfinite(self.p_stop)):
+            raise UsageError("p grid ends must be finite")
         if self.p_count < 1:
             raise UsageError("p grid needs at least 1 point")
         if self.r_count < 2:
@@ -203,23 +205,20 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
     checks.append(_check("dyadic_piece_support", support_leak, 0.0))
 
     if spec.c > 0:
-        noise_floor = 1e-8
-        worst_resid = 0.0
-        worst_qc = 0.0
-        for nn in range(min(9, es.n_retained)):
-            f = transforms.SampledFunction(rule=rule, values=modes[nn])
-            g = transforms.family_transform(es, f)
-            mu = transforms.rayleigh(g, f)
-            if abs(mu) < noise_floor:
-                continue
-            resid = np.sqrt(np.sum(rule.weights * np.abs(g.values - mu * f.values) ** 2))
-            worst_resid = max(worst_resid, float(resid / abs(mu)))
-            if spec.family is Family.GPSWF and nn <= 4:
-                lam = transforms.rayleigh(transforms.apply_Qc(spec.alpha, spec.c, f), f).real
-                worst_qc = max(worst_qc, abs(lam - spec.c / (2 * math.pi) * abs(mu) ** 2))
+        # transform eigenvalues mu_n of the first 9 modes, one kernel per rule;
+        # modes with |mu_n| below the noise floor are left out of both checks
+        f = transforms.SampledFunction(rule=rule, values=modes[:9])
+        g = transforms.family_transform(es, f)
+        mu = transforms.rayleigh(g, f)
+        kept = np.abs(mu) >= 1e-8
+        resid = np.sqrt(np.sum(rule.weights * np.abs(g.values - mu[:, None] * f.values) ** 2, axis=-1))
+        worst_resid = float(np.max(resid[kept] / np.abs(mu[kept]), initial=0.0))
         checks.append(_check("transform_eigenrelation_residual", worst_resid, 1e-4))
         if spec.family is Family.GPSWF:
-            checks.append(_check("qc_eigenvalue_consistency", worst_qc, 1e-8))
+            f5 = transforms.SampledFunction(rule=rule, values=modes[:5])
+            lam = transforms.rayleigh(transforms.apply_Qc(spec.alpha, spec.c, f5), f5).real
+            gap = np.abs(lam - spec.c / (2 * math.pi) * np.abs(mu[:5]) ** 2)[kept[:5]]
+            checks.append(_check("qc_eigenvalue_consistency", float(np.max(gap, initial=0.0)), 1e-8))
 
     return checks
 

@@ -135,9 +135,10 @@ def dyadic_tail(chi, cfg: RieszConfig):
 # ---------------------------------------------------------------------------
 
 def expansion_coeffs(f: SampledFunction, es: EigenSystem) -> np.ndarray:
-    """Coefficients a_n = sum_j w_j f(y_j) phi_n(y_j) for every retained n."""
+    """Coefficients a_n = sum_j w_j f(y_j) phi_n(y_j) for every retained n:
+    shape (m,) for one function, (k, m) for a block of k."""
     require_family_grid(f.rule, es.spec.family, es.spec.alpha, "expansion_coeffs")
-    return es.rule_modes(f.rule) @ (f.rule.weights * f.values)
+    return f.apply(es.rule_modes(f.rule))
 
 
 def riesz_means(values, rule: QuadratureRule, es: EigenSystem, R_grid,
@@ -145,28 +146,26 @@ def riesz_means(values, rule: QuadratureRule, es: EigenSystem, R_grid,
     """Synthesis sum_n (1 - chi_n/R)_+^delta a_n(f) phi_n for every radius R
     in R_grid and every row f of values (shape (P, Q), sampled on rule).
 
-    Returns shape (len(R_grid), P, Q).  The mode table Phi (m x Q) is
-    es.rule_modes(rule); one batched product projects every input, a_f =
-    Phi (w * f), and a second synthesises every (R, f) pair from the weight
-    matrix W (m x |R|).  Both are stacks of matrix-vector products, so each
-    value is rounded exactly as a one-radius, one-function synthesis (a
-    single GEMM reorders the sums and moves errors ~1e-5 by ~1e-12 relative).
-    No R may exceed the certified spectral range: truncating the sum beyond
-    the retained modes would silently bias the result.
+    Returns shape (len(R_grid), P, Q).  expansion_coeffs projects every
+    input, a_f = Phi (w * f) with Phi = es.rule_modes(rule) (m x Q), and one
+    batched product synthesises every (R, f) pair from the weight matrix W
+    (m x |R|).  Both are stacks of matrix-vector products, so each value is
+    rounded exactly as a one-radius, one-function synthesis (a single GEMM
+    reorders the sums and moves errors ~1e-5 by ~1e-12 relative).  No R may
+    exceed the certified spectral range: truncating the sum beyond the
+    retained modes would silently bias the result.
     """
-    values = np.asarray(values)
+    f = SampledFunction(rule=rule, values=values)
     R_grid = np.asarray(R_grid, dtype=float)
-    if values.ndim != 2 or values.shape[1] != rule.size:
+    if f.values.ndim != 2:
         raise ValueError("values must have shape (P, rule.size)")
     if R_grid.ndim != 1 or R_grid.size < 1:
         raise ValueError("R_grid must be a nonempty 1-d sequence")
     W = np.stack([riesz_weight(es.chi, RieszConfig(R=R, delta=delta)) for R in R_grid], axis=1)
     es.check_radius(float(np.max(R_grid)))
-    require_family_grid(rule, es.spec.family, es.spec.alpha, "riesz_means")
-    modes = es.rule_modes(rule)
-    A = (modes @ (rule.weights * values)[:, :, None])[:, :, 0]  # (P, m)
+    A = expansion_coeffs(f, es)  # (P, m)
     scaled = W.T[:, None, :] * A[None, :, :]  # (|R|, P, m)
-    return (scaled[:, :, None, :] @ modes)[:, :, 0, :]
+    return (scaled[:, :, None, :] @ es.rule_modes(rule))[:, :, 0, :]
 
 
 def riesz_mean(f: SampledFunction, es: EigenSystem, cfg: RieszConfig) -> SampledFunction:
@@ -271,6 +270,8 @@ class ExponentTable:
 
     def __post_init__(self):
         object.__setattr__(self, "family", Family(self.family))
+        if not np.isfinite(self.alpha) or self.alpha <= -0.5:
+            raise ValueError("alpha must be finite and > -1/2")
         if not self.eps_choice > 0:
             raise ValueError("eps_choice must be positive")
 

@@ -20,40 +20,42 @@ from .specfun import QuadratureRule, bessel_j
 
 @dataclass
 class SampledFunction:
-    """Function values aligned with the nodes of a quadrature rule."""
+    """One function, shape (Q,), or a block of k functions, shape (k, Q),
+    sampled at the Q nodes of one quadrature rule."""
 
     rule: QuadratureRule
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values)
-        if self.values.shape != (self.rule.size,):
-            raise ValueError("values must align with the rule nodes")
+        if self.values.ndim not in (1, 2) or self.values.shape[-1] != self.rule.size:
+            raise ValueError("values must have shape (Q,) or (k, Q) on the rule's Q nodes")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("values must be finite")
 
-    def to_csv(self) -> str:
-        vals = np.asarray(self.values, dtype=complex)
-        lines = ["node,re,im"]
-        for x, v in zip(self.rule.nodes, vals):
-            lines.append(f"{x:.17g},{v.real:.17g},{v.imag:.17g}")
-        return "\n".join(lines) + "\n"
+    def apply(self, A: np.ndarray) -> np.ndarray:
+        """The quadrature product sum_j A_ij w_j f(y_j) for every function f:
+        shape (..., rows of A).  A stack of matrix-vector products, so a block
+        is rounded exactly as each of its rows alone."""
+        return (A @ (self.rule.weights * self.values)[..., None])[..., 0]
 
 
 def sample_mode(es: EigenSystem, n: int, rule: QuadratureRule | None = None,
                 size: int = 512) -> SampledFunction:
-    """Eigenfunction n sampled on the family quadrature grid."""
+    """Eigenfunction n sampled on the family quadrature grid: row n of the
+    rule's mode table."""
+    if not 0 <= n < es.n_retained:
+        raise ValueError(f"mode {n} is not retained (have {es.n_retained})")
     if rule is None:
         rule = es.default_rule(size)
-    return SampledFunction(rule=rule, values=es.eval(n, rule.nodes))
+    return SampledFunction(rule=rule, values=es.rule_modes(rule)[n])
 
 
 def finite_fourier(alpha: float, c: float, f: SampledFunction) -> SampledFunction:
     """Weighted finite Fourier transform: x -> sum_j w_j e^{i c x y_j} f(y_j)."""
     require_family_grid(f.rule, Family.GPSWF, alpha, "finite_fourier")
     x = f.rule.nodes
-    kernel = np.exp(1j * c * np.outer(x, x))
-    return SampledFunction(rule=f.rule, values=kernel @ (f.rule.weights * f.values))
+    return SampledFunction(rule=f.rule, values=f.apply(np.exp(1j * c * np.outer(x, x))))
 
 
 def bandlimit_kernel(alpha: float, t) -> np.ndarray:
@@ -80,10 +82,7 @@ def apply_Qc(alpha: float, c: float, f: SampledFunction) -> SampledFunction:
     require_family_grid(f.rule, Family.GPSWF, alpha, "apply_Qc")
     x = f.rule.nodes
     K = bandlimit_kernel(alpha, c * (x[:, None] - x[None, :]))
-    return SampledFunction(
-        rule=f.rule,
-        values=(c / (2 * pi)) * K @ (f.rule.weights * f.values),
-    )
+    return SampledFunction(rule=f.rule, values=f.apply((c / (2 * pi)) * K))
 
 
 def finite_hankel(alpha: float, c: float, f: SampledFunction) -> SampledFunction:
@@ -95,8 +94,7 @@ def finite_hankel(alpha: float, c: float, f: SampledFunction) -> SampledFunction
     require_family_grid(f.rule, Family.CPSWF, alpha, "finite_hankel")
     x = f.rule.nodes
     arg = c * np.outer(x, x)
-    K = np.sqrt(arg) * bessel_j(alpha, arg)
-    return SampledFunction(rule=f.rule, values=K @ (f.rule.weights * f.values))
+    return SampledFunction(rule=f.rule, values=f.apply(np.sqrt(arg) * bessel_j(alpha, arg)))
 
 
 def family_transform(es: EigenSystem, f: SampledFunction) -> SampledFunction:
@@ -107,9 +105,10 @@ def family_transform(es: EigenSystem, f: SampledFunction) -> SampledFunction:
     return finite_hankel(es.spec.alpha, es.spec.c, f)
 
 
-def rayleigh(g: SampledFunction, f: SampledFunction) -> complex:
-    """Quadrature projection sum_j w_j g(y_j) f(y_j) of g onto the real mode f."""
-    return complex(np.sum(f.rule.weights * g.values * f.values))
+def rayleigh(g: SampledFunction, f: SampledFunction):
+    """Quadrature projection sum_j w_j g(y_j) f(y_j) of g onto the real mode f,
+    row by row for blocks: a scalar for one function, shape (k,) for k."""
+    return np.sum(f.rule.weights * g.values * f.values, axis=-1)
 
 
 def estimate_mu(alpha: float, c: float, es: EigenSystem, n: int) -> complex:
@@ -121,4 +120,4 @@ def estimate_mu(alpha: float, c: float, es: EigenSystem, n: int) -> complex:
     if alpha != es.spec.alpha or c != es.spec.c:
         raise ValueError("alpha/c must match the eigensystem parameters")
     f = sample_mode(es, n)
-    return rayleigh(family_transform(es, f), f)
+    return complex(rayleigh(family_transform(es, f), f))

@@ -21,7 +21,6 @@ from prolatesum.analysis import (
 )
 from prolatesum.prolate import EigenSystem, Family, ProlateSpec, solve
 from prolatesum.riesz import ExponentTable, RieszConfig, riesz_mean, riesz_weight
-from prolatesum.specfun import gauss_jacobi
 from prolatesum.transforms import SampledFunction, sample_mode
 
 
@@ -247,9 +246,17 @@ class TestOperatorNormProbe:
         assert np.isfinite(growth) and growth > 0
         print(f"below-threshold probe growth ratio: {growth:.3f}")
 
-    def test_empty_probes_rejected(self, es):
+    def test_probes_are_one_block(self, es, rule):
+        probes = boundary_probes(es, rule, seed=4)
+        assert probes.rule is rule
+        assert probes.values.shape == (12, rule.size)
+        norms = np.sqrt(np.sum(rule.weights * probes.values**2, axis=-1))
+        assert np.allclose(norms, 1.0, rtol=1e-13)
+
+    def test_empty_probes_rejected(self, es, rule):
+        empty = SampledFunction(rule=rule, values=np.empty((0, rule.size)))
         with pytest.raises(ValueError):
-            operator_norm_probe(es, 2.0, 1.0, [10.0], [])
+            operator_norm_probe(es, 2.0, 1.0, [10.0], empty)
 
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 4.0, math.inf])
@@ -257,23 +264,10 @@ class TestOperatorNormProbe:
         probes = boundary_probes(es, rule, seed=4)
         R_grid = np.geomspace(float(es.chi[8]), float(es.chi[60]), 5)
         sups = operator_norm_probe(es, p, 0.7, R_grid, probes)
+        rows = [SampledFunction(rule=rule, values=v) for v in probes.values]
         loop = np.array([max(lp_norm(riesz_mean(f, es, RieszConfig(R=R, delta=0.7)), p)
-                             / lp_norm(f, p) for f in probes) for R in R_grid])
+                             / lp_norm(f, p) for f in rows) for R in R_grid])
         assert np.max(np.abs(sups - loop) / loop) <= 1e-12
-
-    def test_probes_on_two_rules_rejected(self, es, rule):
-        other = es.default_rule(256)
-        probes = [SampledFunction(rule=rule, values=np.ones(rule.size)),
-                  SampledFunction(rule=other, values=np.ones(other.size))]
-        with pytest.raises(ValueError, match="one quadrature rule"):
-            operator_norm_probe(es, 2.0, 1.0, [float(es.chi[8])], probes)
-
-    def test_separately_built_equal_rule_accepted(self, es, rule):
-        twin = gauss_jacobi(rule.size, 0.0, 0.0)
-        assert twin is not rule
-        probes = [SampledFunction(rule=rule, values=np.ones(rule.size)),
-                  SampledFunction(rule=twin, values=twin.nodes + 2.0)]
-        assert operator_norm_probe(es, 2.0, 1.0, [float(es.chi[8])], probes).shape == (1,)
 
 
 class TestModeEvaluationCount:

@@ -4,6 +4,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from prolatesum import transforms
 from prolatesum.cli import RunConfig, build_parser, config_from_args, main
 from prolatesum.prolate import EigenSystem, ProlateSpec, solve
 from prolatesum.riesz import RieszConfig, riesz_kernel_table
@@ -232,6 +233,12 @@ class TestNanArguments:
         ["exponents", "--eps-choice", "nan", "--p", "4"],
         ["exponents", "--p-count", "0"],
         ["exponents", "--p-count", "-2"],
+        ["exponents", "--family", "cpswf", "--alpha", "nan", "--p", "2"],
+        ["exponents", "--family", "cpswf", "--alpha", "inf", "--p", "2"],
+        ["exponents", "--family", "cpswf", "--alpha", "-7", "--p", "2"],
+        ["exponents", "--family", "gpswf", "--alpha", "nan", "--p", "2"],
+        ["exponents", "--p-stop", "inf", "--p-count", "3"],
+        ["exponents", "--p-start", "nan"],
     ])
     def test_exit_1(self, args, tmp_path, capsys):
         out = tmp_path / "x.json"
@@ -294,3 +301,25 @@ class TestModeTable:
         K = riesz_kernel_table(es, RieszConfig(R=res["R"], delta=res["delta"]),
                                np.array(res["points"]))
         assert res["kernel"] == K.tolist()
+
+
+class TestOneKernelPerRule:
+    @pytest.mark.parametrize("family,alpha,expected", [
+        ("gpswf", "0.5", {"family_transform": 1, "apply_Qc": 1}),
+        ("cpswf", "0.5", {"family_transform": 1, "apply_Qc": 0}),
+    ])
+    def test_verify_applies_each_transform_once(self, family, alpha, expected, tmp_path,
+                                                capsys, monkeypatch):
+        calls = {name: 0 for name in expected}
+        for name in expected:
+            original = getattr(transforms, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(transforms, name, counting)
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--family", family, "--alpha", alpha, "--c", "3", "--n", "64",
+                     "--quad-size", "128", "--output", str(out)]) == 0
+        assert calls == expected

@@ -265,6 +265,12 @@ class TestRieszMeans:
         with pytest.raises(ValueError, match="exceeds certified spectrum"):
             riesz_means(values, rule, es, [es.chi[3], es.certified_max * 1.01, es.chi[5]], 1.0)
 
+    def test_nan_value_rejected(self, es, rule):
+        values = np.ones((2, rule.size))
+        values[1, 5] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            riesz_means(values, rule, es, [es.chi[3]], 1.0)
+
     def test_shape_and_grid_validation(self, es, rule):
         with pytest.raises(ValueError, match="shape"):
             riesz_means(np.ones(rule.size), rule, es, [es.chi[3]], 1.0)
@@ -403,6 +409,12 @@ class TestNanArguments:
             with pytest.raises(ValueError):
                 call()
         assert delta_threshold(table, math.inf).value == 0.5  # p = inf stays valid
+
+    @pytest.mark.parametrize("family", [Family.GPSWF, Family.CPSWF])
+    @pytest.mark.parametrize("alpha", [float("nan"), math.inf, -math.inf, -0.5, -7.0])
+    def test_bad_alpha_rejected(self, family, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            ExponentTable(family, alpha)
 
 
 class TestRieszKernelTable:

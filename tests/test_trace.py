@@ -1,6 +1,7 @@
 """The benchmark's tracer binds prolatesum names and argument names
 (`EigenSystem.mode_matrix(x, check_domain)`, the transforms' `f`): run a tiny
-traced op of each traced kind so that a rename fails here, not at benchmark time."""
+traced op of each traced kind so that a rename fails here, not at benchmark time.
+The verify spans also show that each transform builds one kernel per rule."""
 
 import json
 import os
@@ -14,7 +15,8 @@ import prolatesum
 SRC = os.path.dirname(os.path.dirname(prolatesum.__file__))
 WORKER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "perfbench", "worker.py")
-SMALL = ["--n", "16", "--quad-size", "32"]
+QUAD = 32
+SMALL = ["--n", "16", "--quad-size", str(QUAD)]
 
 
 @pytest.mark.parametrize("args,expected", [
@@ -22,6 +24,8 @@ SMALL = ["--n", "16", "--quad-size", "32"]
     (["sweep", "--family", "cpswf", "--alpha", "0.5", "--p", "1.5", "--r-count", "3"],
      {"prolate.rule_modes", "analysis.calibrate_lemma1"}),
     (["kernel", "--grid-points", "4"], {"riesz.riesz_kernel_table"}),
+    (["verify", "--family", "cpswf", "--alpha", "0.5", "--c", "2"],
+     {"prolate.rule_modes", "transforms.finite_hankel"}),
 ])
 def test_traced_worker_op(args, expected, tmp_path):
     spans_path = tmp_path / "spans.jsonl"
@@ -40,3 +44,11 @@ def test_traced_worker_op(args, expected, tmp_path):
     assert any(s["name"] == "prolate.mode_matrix" for s in spans)
     if args[0] == "verify":
         assert any("kernel_entries" in s for s in spans if s["name"].startswith("transforms."))
+        # one kernel per rule: each transform is applied once, to the block of modes
+        counts = {n: sum(s["name"] == f"transforms.{n}" for s in spans)
+                  for n in ("finite_fourier", "finite_hankel", "apply_Qc")}
+        gpswf = "cpswf" not in args
+        assert counts == {"finite_fourier": int(gpswf), "finite_hankel": int(not gpswf),
+                          "apply_Qc": int(gpswf)}
+        points = sum(s.get("points", 0) for s in spans if s["name"] == "specfun.bessel_j")
+        assert 0 < points <= QUAD**2

@@ -3,6 +3,7 @@ import pytest
 from scipy.special import beta
 
 from prolatesum.prolate import Family, ProlateSpec, solve
+from prolatesum.riesz import expansion_coeffs
 from prolatesum.specfun import gauss_jacobi, gauss_legendre_01
 from prolatesum.transforms import (
     SampledFunction,
@@ -11,6 +12,7 @@ from prolatesum.transforms import (
     estimate_mu,
     finite_fourier,
     finite_hankel,
+    rayleigh,
     sample_mode,
 )
 
@@ -42,13 +44,61 @@ class TestSampledFunction:
         with pytest.raises(ValueError):
             SampledFunction(rule=rule, values=vals)
 
-    def test_csv(self):
-        rule = gauss_jacobi(4, 0, 0)
-        f = SampledFunction(rule=rule, values=np.arange(4) * (1 + 2j))
-        lines = f.to_csv().strip().split("\n")
-        assert lines[0] == "node,re,im"
-        assert len(lines) == 5
-        assert float(lines[2].split(",")[2]) == 2.0
+    def test_three_d_values_rejected(self):
+        rule = gauss_jacobi(8, 0, 0)
+        with pytest.raises(ValueError, match="shape"):
+            SampledFunction(rule=rule, values=np.ones((2, 3, 8)))
+
+    def test_misaligned_block_rejected(self):
+        rule = gauss_jacobi(8, 0, 0)
+        with pytest.raises(ValueError, match="shape"):
+            SampledFunction(rule=rule, values=np.ones((3, 7)))
+        with pytest.raises(ValueError, match="shape"):
+            SampledFunction(rule=rule, values=np.ones((8, 3)))
+
+
+class TestBlocks:
+    """Every quadrature product on a block of functions equals, bit for bit,
+    the product on each of its rows alone."""
+
+    @staticmethod
+    def _rows_equal(block_op, block):
+        out = block_op(block)
+        for k, row in enumerate(block.values):
+            assert np.array_equal(out[k], block_op(SampledFunction(rule=block.rule, values=row)))
+
+    def test_gpswf_ops(self, es_g5):
+        rule = es_g5.default_rule(128)
+        block = SampledFunction(rule=rule, values=np.random.default_rng(3).standard_normal((3, 128)))
+        self._rows_equal(lambda f: finite_fourier(0.0, 5.0, f).values, block)
+        self._rows_equal(lambda f: apply_Qc(0.0, 5.0, f).values, block)
+        self._rows_equal(lambda f: expansion_coeffs(f, es_g5), block)
+        self._rows_equal(lambda f: rayleigh(finite_fourier(0.0, 5.0, f), f), block)
+
+    def test_cpswf_ops(self, es_c5):
+        rule = es_c5.default_rule(128)
+        block = SampledFunction(rule=rule, values=np.random.default_rng(4).standard_normal((3, 128)))
+        self._rows_equal(lambda f: finite_hankel(0.5, 5.0, f).values, block)
+        self._rows_equal(lambda f: expansion_coeffs(f, es_c5), block)
+        self._rows_equal(lambda f: rayleigh(finite_hankel(0.5, 5.0, f), f), block)
+
+    def test_block_shapes(self, es_g5):
+        rule = es_g5.default_rule(64)
+        block = SampledFunction(rule=rule, values=np.ones((3, 64)))
+        assert finite_fourier(0.0, 5.0, block).values.shape == (3, 64)
+        assert expansion_coeffs(block, es_g5).shape == (3, es_g5.n_retained)
+        assert rayleigh(block, block).shape == (3,)
+
+
+class TestSampleMode:
+    def test_row_of_the_mode_table(self, es_g5):
+        rule = es_g5.default_rule(64)
+        assert np.array_equal(sample_mode(es_g5, 3, rule=rule).values, es_g5.rule_modes(rule)[3])
+
+    @pytest.mark.parametrize("n", [-1, 64])
+    def test_unretained_mode_rejected(self, es_g5, n):
+        with pytest.raises(ValueError, match="not retained"):
+            sample_mode(es_g5, n)
 
 
 class TestFiniteFourier:
