@@ -39,7 +39,9 @@ def _lp_norms(values: np.ndarray, weights: np.ndarray, p: float) -> np.ndarray:
 
 def lp_norm(f: SampledFunction, p: float) -> float:
     """Weighted L^p norm on the sample grid: (sum w_j |f_j|^p)^(1/p),
-    max |f_j| for p = inf."""
+    max |f_j| for p = inf.  f must hold one function, not a block."""
+    if f.values.ndim != 1:
+        raise ValueError(f"lp_norm takes one function, got a block of shape {f.values.shape}")
     return float(_lp_norms(f.values, f.rule.weights, p))
 
 

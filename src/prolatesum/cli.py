@@ -96,10 +96,56 @@ def _fn_values(name: str, x: np.ndarray) -> np.ndarray:
     raise UsageError(f"unknown probe function {name!r}")
 
 
+def _json_text(obj) -> str:
+    """Strict JSON of obj with the bytes of json.dumps(obj, indent=2,
+    sort_keys=True), except that a non-finite float is written as null.
+
+    A list of floats (np.float64 included) is joined in one pass with
+    float.__repr__, the form json itself writes for a finite float; other
+    scalars are written by json.dumps.  Dict keys must be strings.
+    """
+    chunks = []
+    _json_chunks(obj, "\n", chunks)
+    return "".join(chunks)
+
+
+def _json_chunks(obj, pad: str, out: list) -> None:
+    # pad is the newline and indent that close obj; its items sit one level in
+    if isinstance(obj, float):
+        out.append(float.__repr__(obj) if math.isfinite(obj) else "null")
+        return
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj:
+        if not all(isinstance(k, str) for k in obj):
+            raise TypeError("artifact keys must be strings")
+        sep = "{" + inner
+        for k, v in sorted(obj.items()):
+            out.append(sep + json.dumps(k) + ": ")
+            _json_chunks(v, inner, out)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        try:
+            body = ("," + inner).join(map(float.__repr__, obj))
+        except TypeError:  # an item that is not a float
+            body = "n"
+        if "n" in body:  # the repr of a finite float has no "n"; nan and inf do
+            sep = "[" + inner
+            for v in obj:
+                out.append(sep)
+                _json_chunks(v, inner, out)
+                sep = "," + inner
+        else:
+            out.append("[" + inner + body)
+        out.append(pad + "]")
+    else:  # str, int, bool, None, {} and []
+        out.append(json.dumps(obj))
+
+
 def _emit(cfg: RunConfig, results, checks: list[dict]) -> None:
     if cfg.fmt == "json":
         payload = {"config": asdict(cfg), "results": results, "checks": checks}
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _json_text(payload) + "\n"
     else:
         header = "# config: " + json.dumps(asdict(cfg), sort_keys=True) + "\n"
         body = results if isinstance(results, str) else json.dumps(results, sort_keys=True)

@@ -287,31 +287,26 @@ def solve(spec: ProlateSpec) -> EigenSystem:
             stacklevel=2,
         )
     blocks = build_galerkin(spec)
-    N = spec.N
-    chi_parts, col_parts, parity_parts = [], [], []
-    for offset, (diag, off) in ((0, blocks.even), (1, blocks.odd)):
-        if diag.size == 0:
-            continue
-        w, v = symtridiag_eigen(diag, off)
-        cols = np.zeros((N, w.size))
-        if spec.family is Family.GPSWF:
-            cols[offset::2] = v
-        else:
-            cols[:, :] = v
-        chi_parts.append(w)
-        col_parts.append(cols)
-        parity_parts.append(np.full(w.size, offset))
-    chi = np.concatenate(chi_parts)
-    cols = np.concatenate(col_parts, axis=1)
-    parity = np.concatenate(parity_parts)
-    order = np.argsort(chi)
-    m = spec.n_retained
-    chi, cols, parity = chi[order][:m], cols[:, order][:, :m], parity[order][:m]
+    N, m = spec.N, spec.n_retained
+    # solve each block, merge and sort the spectra, then place only the m
+    # retained columns: no (N, N) array is ever formed
+    solved = [(offset, *symtridiag_eigen(diag, off))
+              for offset, (diag, off) in enumerate(blocks) if diag.size]
+    chi = np.concatenate([w for _, w, _ in solved])
+    parity = np.concatenate([np.full(w.size, offset) for offset, w, _ in solved])
+    order = np.argsort(chi)[:m]
+    chi, parity = chi[order], parity[order]
     if np.any(np.diff(chi) <= 0):
         raise NumericsError("merged spectrum is not strictly increasing")
+    cols = np.zeros((N, m))
+    start = 0
+    for offset, w, v in solved:
+        picked = (order >= start) & (order < start + w.size)
+        rows = slice(offset, None, 2) if spec.family is Family.GPSWF else slice(None)
+        cols[rows, picked] = v[:, order[picked] - start]
+        start += w.size
     lead = np.argmax(np.abs(cols), axis=0)
-    flip = cols[lead, np.arange(m)] < 0
-    cols[:, flip] = -cols[:, flip]
+    np.negative(cols, out=cols, where=cols[lead, np.arange(m)] < 0)
     return EigenSystem(
         spec=spec,
         chi=chi,

@@ -62,6 +62,11 @@ class TestLpNorm:
         with pytest.raises(ValueError):
             lp_norm(f, 0.5)
 
+    def test_block_rejected_with_its_shape(self, rule):
+        f = SampledFunction(rule=rule, values=np.ones((3, rule.size)))
+        with pytest.raises(ValueError, match=rf"block of shape \(3, {rule.size}\)"):
+            lp_norm(f, 2.0)
+
 
 class TestNormGrowth:
     def test_legendre_sup_growth(self, es0):

@@ -3,9 +3,11 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prolatesum import transforms
-from prolatesum.cli import RunConfig, build_parser, config_from_args, main
+from prolatesum.cli import RunConfig, _json_text, build_parser, config_from_args, main
 from prolatesum.prolate import EigenSystem, ProlateSpec, solve
 from prolatesum.riesz import RieszConfig, riesz_kernel_table
 
@@ -323,3 +325,57 @@ class TestOneKernelPerRule:
         assert main(["verify", "--family", family, "--alpha", alpha, "--c", "3", "--n", "64",
                      "--quad-size", "128", "--output", str(out)]) == 0
         assert calls == expected
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+# strings that exercise JSON escaping: quotes, separators, brackets, non-ASCII
+_TRICKY_TEXT = st.text(alphabet=st.sampled_from('a"\\,:[]{} \n\té€\u2028\U0001f600'), max_size=8)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_LEAVES = (_FINITE | _FINITE.map(np.float64) | st.integers() | st.booleans() | st.none()
+           | _TRICKY_TEXT | st.text(max_size=8))
+_JSON_VALUES = st.recursive(
+    _LEAVES,
+    lambda children: (st.lists(children, max_size=6) | st.lists(_FINITE, max_size=6)
+                      | st.dictionaries(_TRICKY_TEXT | st.text(max_size=8), children, max_size=6)),
+    max_leaves=40,
+)
+
+
+class TestArtifactWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(obj=_JSON_VALUES)
+    def test_bytes_equal_the_stdlib_encoder(self, obj):
+        assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    def test_non_finite_floats_are_null(self):
+        obj = {"x": [1.0, float("nan"), float("inf")], "y": np.float64("-inf"), "z": [float("nan")]}
+        text = _json_text(obj)
+        assert json.loads(text, parse_constant=_reject_constant) == {
+            "x": [1.0, None, None], "y": None, "z": [None]}
+
+    def test_non_string_key_rejected(self):
+        with pytest.raises(TypeError, match="keys must be strings"):
+            _json_text({1: 2.0})
+
+    def test_sweep_artifact_is_strict_json(self, tmp_path, capsys):
+        out = tmp_path / "sweep.json"
+        assert main(["sweep", "--n", "64", "--r-count", "4", "--output", str(out)]) == 0
+        res = json.loads(out.read_text(), parse_constant=_reject_constant)["results"]
+        assert res["slope_so_far"][0] is None
+        assert all(isinstance(v, float) for v in res["slope_so_far"][1:])
+
+    @pytest.mark.parametrize("args", [
+        ["basis", "--family", "cpswf", "--alpha", "1.5", "--c", "4", "--n", "32"],
+        ["kernel", "--n", "32", "--grid-points", "5"],
+        ["verify", "--n", "64", "--quad-size", "128"],
+        ["sweep", "--n", "64", "--r-count", "4", "--p", "1.5"],
+    ])
+    def test_artifact_layout_is_the_stdlib_layout(self, args, tmp_path, capsys):
+        out = tmp_path / "artifact.json"
+        assert main(args + ["--output", str(out)]) == 0
+        text = out.read_text()
+        data = json.loads(text, parse_constant=_reject_constant)
+        assert text == json.dumps(data, indent=2, sort_keys=True) + "\n"

@@ -1,7 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prolatesum.prolate import (
     Family,
@@ -10,7 +13,7 @@ from prolatesum.prolate import (
     check_bounds,
     solve,
 )
-from prolatesum.specfun import gauss_jacobi, jacobi_orthonormal_table
+from prolatesum.specfun import NumericsError, gauss_jacobi, jacobi_orthonormal_table, symtridiag_eigen
 
 
 def gpswf(alpha=0.0, c=1.0, N=128, keep=0.5):
@@ -165,6 +168,69 @@ class TestSolve:
             shift = es.chi - base
             assert np.all(shift >= 0)
             assert np.all(shift <= c * c + 1e-10)
+
+
+def full_width_solve(spec):
+    """Reference solve: every block column scattered into one (N, N) array,
+    permuted by the merged spectrum, then cut to the retained m."""
+    N, blocks = spec.N, build_galerkin(spec)
+    chi_parts, col_parts, parity_parts = [], [], []
+    for offset, (diag, off) in ((0, blocks.even), (1, blocks.odd)):
+        if diag.size == 0:
+            continue
+        w, v = symtridiag_eigen(diag, off)
+        cols = np.zeros((N, w.size))
+        if spec.family is Family.GPSWF:
+            cols[offset::2] = v
+        else:
+            cols[:, :] = v
+        chi_parts.append(w)
+        col_parts.append(cols)
+        parity_parts.append(np.full(w.size, offset))
+    chi = np.concatenate(chi_parts)
+    cols = np.concatenate(col_parts, axis=1)
+    parity = np.concatenate(parity_parts)
+    order = np.argsort(chi)
+    m = spec.n_retained
+    chi, cols, parity = chi[order][:m], cols[:, order][:, :m], parity[order][:m]
+    if np.any(np.diff(chi) <= 0):
+        raise NumericsError("merged spectrum is not strictly increasing")
+    lead = np.argmax(np.abs(cols), axis=0)
+    flip = cols[lead, np.arange(m)] < 0
+    cols[:, flip] = -cols[:, flip]
+    return chi, cols, parity
+
+
+class TestRetainedColumnsOnly:
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from([Family.GPSWF, Family.CPSWF]),
+           alpha=st.floats(-0.45, 3.0), c=st.floats(0.0, 60.0),
+           N=st.integers(4, 96), keep=st.sampled_from([0.25, 0.5, 1.0]))
+    def test_bit_identical_to_full_width_solve(self, family, alpha, c, N, keep):
+        spec = ProlateSpec(family=family, alpha=alpha, c=c, N=N, keep_fraction=keep)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # alpha outside the theorem range
+            try:
+                chi, cols, parity = full_width_solve(spec)
+            except NumericsError:
+                with pytest.raises(NumericsError):
+                    solve(spec)
+                return
+            es = solve(spec)
+        # tobytes also compares the signs of zero entries
+        assert es.chi.tobytes() == chi.tobytes()
+        assert es.coeffs.shape == cols.shape
+        assert es.coeffs.tobytes() == np.ascontiguousarray(cols).tobytes()
+        if family is Family.GPSWF:
+            assert es.parity.tobytes() == parity.tobytes()
+        else:
+            assert es.parity is None
+
+    @pytest.mark.parametrize("family,N", [(Family.GPSWF, 512), (Family.CPSWF, 256)])
+    def test_coeffs_own_at_most_N_times_m_entries(self, family, N):
+        es = solve(ProlateSpec(family=family, alpha=0.5, c=4.0, N=N))
+        base = es.coeffs if es.coeffs.base is None else es.coeffs.base
+        assert base.size <= N * es.n_retained
 
 
 class TestEval:

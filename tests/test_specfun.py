@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 from scipy.special import jv
 
+from prolatesum import specfun
+from prolatesum.prolate import ProlateSpec, build_galerkin, solve
 from prolatesum.specfun import (
+    NumericsError,
     QuadratureRule,
     bessel_j,
     gauss_jacobi,
@@ -305,3 +309,94 @@ class TestRulesReadOnly:
         rule = QuadratureRule(a=0.0, b=0.0, interval=(-1.0, 1.0), nodes=nodes, weights=weights)
         nodes[0] = 0.0
         assert rule.nodes[0] == -0.5 and nodes.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# the MRRR eigensolver: arbitrary-precision oracles, Gram error, determinism
+# ---------------------------------------------------------------------------
+
+def gauss_jacobi_oracle(n, a, b, guesses, dps=30):
+    """Nodes and weights of the n-point Gauss-Jacobi rule at dps digits: the
+    nodes are roots of P_n^(a,b) in its explicit binomial-sum form, refined
+    from guesses, and the weights come from the classical formula
+    w_j = C / ((1 - x_j^2) P_n'(x_j)^2), P_n' = (n+a+b+1)/2 P_{n-1}^(a+1,b+1)."""
+    import mpmath as mp
+
+    def jacobi(k, a, b, x):
+        return mp.fsum(mp.binomial(k + a, k - s) * mp.binomial(k + b, s)
+                       * ((x - 1) / 2) ** s * ((x + 1) / 2) ** (k - s) for s in range(k + 1))
+
+    with mp.workdps(dps):
+        a, b = mp.mpf(a), mp.mpf(b)
+        const = (2 ** (a + b + 1) * mp.gamma(n + a + 1) * mp.gamma(n + b + 1)
+                 / (mp.gamma(n + a + b + 1) * mp.factorial(n)))
+        nodes, weights = [], []
+        for guess in guesses:
+            x = mp.findroot(lambda t: jacobi(n, a, b, t), mp.mpf(float(guess)))
+            dp = (n + a + b + 1) / 2 * jacobi(n - 1, a + 1, b + 1, x)
+            nodes.append(float(x))
+            weights.append(float(const / ((1 - x * x) * dp * dp)))
+    return np.array(nodes), np.array(weights)
+
+
+class TestMRRRGate:
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    @pytest.mark.parametrize("a,b", [(0.0, 0.0), (0.5, 0.5), (-0.4, 1.7), (3.0, 0.2)])
+    def test_gauss_jacobi_against_mpmath_oracle(self, n, a, b):
+        rule = gauss_jacobi(n, a, b)
+        nodes, weights = gauss_jacobi_oracle(n, a, b, rule.nodes)
+        assert np.max(np.abs(rule.nodes - nodes)) <= 1e-14
+        assert np.max(np.abs(rule.weights - weights) / weights) <= 1e-13
+
+    @pytest.mark.parametrize("family,alpha,c,N", [("gpswf", 0.5, 4.0, 24), ("gpswf", 0.0, 20.0, 24),
+                                                  ("cpswf", 1.5, 8.0, 16)])
+    def test_galerkin_chi_against_mpmath_eigsy(self, family, alpha, c, N):
+        import mpmath as mp
+
+        spec = ProlateSpec(family, alpha, c, N)
+        exact = []
+        with mp.workdps(30):
+            for diag, off in build_galerkin(spec):
+                T = mp.zeros(diag.size)
+                for i in range(diag.size):
+                    T[i, i] = mp.mpf(float(diag[i]))
+                    if i + 1 < diag.size:
+                        T[i, i + 1] = T[i + 1, i] = mp.mpf(float(off[i]))
+                if diag.size:
+                    exact += [float(w) for w in mp.eigsy(T, eigvals_only=True)]
+        chi = solve(spec).chi
+        exact = np.sort(exact)[: chi.size]
+        assert np.max(np.abs(chi - exact) / np.maximum(1.0, np.abs(exact))) <= 1e-14
+
+    @pytest.mark.parametrize("a,b", [(0.0, 0.0), (0.5, 0.5), (1.0, 1.0)])
+    def test_gram_error_at_2048_nodes(self, a, b):
+        rule = gauss_jacobi(2048, a, b)
+        table = jacobi_orthonormal_table(2048, a, b, rule.nodes)
+        gram = (table * rule.weights) @ table.T
+        assert np.max(np.abs(gram - np.eye(2048))) <= 1e-12
+
+    def test_repeated_rules_are_bit_identical(self):
+        first, second = gauss_jacobi(300, 0.5, 0.5), gauss_jacobi(300, 0.5, 0.5)
+        assert first.nodes.tobytes() == second.nodes.tobytes()
+        assert first.weights.tobytes() == second.weights.tobytes()
+
+    def test_lapack_routine_is_stemr(self, monkeypatch):
+        real, routines = specfun.eigh_tridiagonal, []
+
+        def spy(d, e, **kwargs):
+            routines.append(kwargs["lapack_driver"])
+            return real(d, e, **kwargs)
+
+        monkeypatch.setattr(specfun, "eigh_tridiagonal", spy)
+        symtridiag_eigen([1.0, 2.0, 3.0], [0.5, 0.5])
+        assert routines == ["stemr"]
+
+    def test_lapack_failure_raises_numerics_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise LinAlgError("stemr (eigh_tridiagonal) exited with info=1")
+
+        monkeypatch.setattr(specfun, "eigh_tridiagonal", fail)
+        with pytest.raises(NumericsError, match="did not converge"):
+            symtridiag_eigen([1.0, 2.0, 3.0], [0.5, 0.5])
+        with pytest.raises(NumericsError):
+            gauss_jacobi(8, 0.0, 0.0)
