@@ -3,7 +3,6 @@ clusters, and convergence sweeps of the summation operator."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -20,7 +19,7 @@ from .riesz import (
     riesz_means,
     riesz_weight,
 )
-from .specfun import QuadratureRule, jacobi_orthonormal_table
+from .specfun import QuadratureRule
 from .transforms import SampledFunction
 
 
@@ -162,10 +161,9 @@ def jacobi_approx_residual(es: EigenSystem, n: int) -> JacobiApproxResult:
         raise ValueError("diagnostic valid for 0 <= alpha < 3/2")
     if not 0 <= n < es.n_retained:
         raise ValueError(f"mode {n} is not retained")
-    x = _dense_interior_grid(es)
+    B = es.basis_matrix(_dense_interior_grid(es))
     amp = float(es.coeffs[n, n])
-    jn = jacobi_orthonormal_table(n + 1, es.spec.alpha, es.spec.alpha, x)[n]
-    diff = es.eval(n, x) - amp * jn
+    diff = es.coeffs[:, n] @ B - amp * B[n]
     return JacobiApproxResult(residual=float(np.max(np.abs(diff))), amplitude=amp)
 
 
@@ -204,18 +202,6 @@ class ConvergenceReport:
             return v
 
         return {k: clean(v) for k, v in self.__dict__.items()}
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    def to_csv(self) -> str:
-        lines = ["R,error,weight_count,slope_so_far"]
-        for i in range(len(self.R_grid)):
-            lines.append(
-                f"{self.R_grid[i]:.17g},{self.errors[i]:.17g},"
-                f"{self.weight_counts[i]},{self.slope_so_far[i]:.17g}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 def convergence_sweep(f: SampledFunction, es: EigenSystem, p: float, delta: float,

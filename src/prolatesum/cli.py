@@ -142,13 +142,22 @@ def _json_chunks(obj, pad: str, out: list) -> None:
         out.append(json.dumps(obj))
 
 
+def _csv_text(header: str, rows) -> str:
+    """CSV text: the header line, then one line per row with every value
+    written as format(v, ".17g"), the same bytes for a float, nan, inf,
+    np.float64, np.int64 or int."""
+    lines = [header]
+    lines.extend(",".join(format(v, ".17g") for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def _emit(cfg: RunConfig, results, checks: list[dict]) -> None:
     if cfg.fmt == "json":
         payload = {"config": asdict(cfg), "results": results, "checks": checks}
         text = _json_text(payload) + "\n"
     else:
         header = "# config: " + json.dumps(asdict(cfg), sort_keys=True) + "\n"
-        body = results if isinstance(results, str) else json.dumps(results, sort_keys=True)
+        body = results if isinstance(results, str) else json.dumps(results, sort_keys=True) + "\n"
         text = header + body
         if checks:
             text += "# checks: " + json.dumps(checks, sort_keys=True) + "\n"
@@ -278,7 +287,8 @@ def _cmd_basis(cfg: RunConfig) -> int:
     if cfg.fmt == "json":
         _emit(cfg, es.to_dict(), [])
     else:
-        _emit(cfg, es.to_csv(), [])
+        rows = zip(range(es.n_retained), es.chi, es.lower_bounds(), es.upper_bounds())
+        _emit(cfg, _csv_text("n,chi,lower_bound,upper_bound", rows), [])
     return EXIT_OK
 
 
@@ -306,6 +316,9 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     es.check_radius(r_stop)
     if not 0 < r_start < r_stop:
         raise UsageError("need 0 < r_start < r_stop")
+    if r_start <= es.chi[0]:
+        # every summation weight is 0 at such a radius
+        raise UsageError(f"r_start must exceed chi_0 = {float(es.chi[0])!r}, the smallest eigenvalue")
     R_grid = np.geomspace(r_start, r_stop, cfg.r_count)
     rule = es.default_rule(cfg.quad_size)
     f = transforms.SampledFunction(rule=rule, values=_fn_values(cfg.fn, rule.nodes))
@@ -316,7 +329,8 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     if cfg.fmt == "json":
         _emit(cfg, report.to_dict(), [])
     else:
-        _emit(cfg, report.to_csv(), [])
+        rows = zip(report.R_grid, report.errors, report.weight_counts, report.slope_so_far)
+        _emit(cfg, _csv_text("R,error,weight_count,slope_so_far", rows), [])
     return EXIT_OK
 
 
@@ -329,11 +343,9 @@ def _cmd_kernel(cfg: RunConfig) -> int:
     if cfg.fmt == "json":
         _emit(cfg, {"R": R, "delta": cfg.delta, "points": pts.tolist(), "kernel": K.tolist()}, [])
     else:
-        lines = ["x,y,value"]
-        for i, xi in enumerate(pts):
-            for j, yj in enumerate(pts):
-                lines.append(f"{xi:.17g},{yj:.17g},{K[i, j]:.17g}")
-        _emit(cfg, "\n".join(lines) + "\n", [])
+        x = pts.tolist()
+        rows = ((xi, yj, v) for xi, row in zip(x, K.tolist()) for yj, v in zip(x, row))
+        _emit(cfg, _csv_text("x,y,value", rows), [])
     return EXIT_OK
 
 
@@ -364,13 +376,8 @@ def _cmd_exponents(cfg: RunConfig) -> int:
         if cfg.fmt == "json":
             _emit(cfg, {"p0": table.p0, "p0_dual": table.p0_dual, "rows": rows}, [])
         else:
-            lines = ["p,gamma_p,p_dual,gamma_p_dual,delta_threshold,critical"]
-            for r in rows:
-                lines.append(
-                    f"{r['p']:.17g},{r['gamma_p']:.17g},{r['p_dual']:.17g},"
-                    f"{r['gamma_p_dual']:.17g},{r['delta_threshold']:.17g},{int(r['critical'])}"
-                )
-            _emit(cfg, "\n".join(lines) + "\n", [])
+            keys = ("p", "gamma_p", "p_dual", "gamma_p_dual", "delta_threshold", "critical")
+            _emit(cfg, _csv_text(",".join(keys), ([r[k] for k in keys] for r in rows)), [])
     return EXIT_OK
 
 

@@ -11,7 +11,6 @@ term is the only coupling and the Galerkin matrices are banded.
 from __future__ import annotations
 
 import functools
-import json
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -130,6 +129,16 @@ def x2_jacobi_couplings(alpha: float, N: int) -> tuple[np.ndarray, np.ndarray]:
     return diag, off2
 
 
+def _free_spectrum(spec: ProlateSpec, size: int) -> np.ndarray:
+    """Eigenvalues k = 0..size-1 of the operator at c = 0, which the reference
+    basis diagonalizes: k(k+2a+1) for GPSWF, (2k+a+1/2)(2k+a+3/2) for CPSWF."""
+    k = np.arange(size, dtype=float)
+    a = spec.alpha
+    if spec.family is Family.GPSWF:
+        return k * (k + 2 * a + 1)
+    return (2 * k + a + 0.5) * (2 * k + a + 1.5)
+
+
 def build_galerkin(spec: ProlateSpec) -> GalerkinBlocks:
     """Assemble the banded Galerkin matrix of the Sturm-Liouville operator.
 
@@ -139,9 +148,8 @@ def build_galerkin(spec: ProlateSpec) -> GalerkinBlocks:
     """
     a, c2, N = spec.alpha, spec.c**2, spec.N
     if spec.family is Family.GPSWF:
-        k = np.arange(N, dtype=float)
         x2d, x2o = x2_jacobi_couplings(a, N)
-        diag = k * (k + 2 * a + 1) + c2 * x2d
+        diag = _free_spectrum(spec, N) + c2 * x2d
         off = c2 * x2o  # couples k and k+2
         even = (diag[0::2], off[0::2])
         odd = (diag[1::2], off[1::2])
@@ -150,8 +158,7 @@ def build_galerkin(spec: ProlateSpec) -> GalerkinBlocks:
     # diagonal and -sqrt(beta_{k+1})/2 on the first off-diagonal, with
     # alpha_k, beta_k the (a, 0) Jacobi recurrence coefficients in u = 1-2x^2.
     rec_a, rec_b = jacobi_recurrence(N + 1, a, 0.0)
-    k = np.arange(N, dtype=float)
-    diag = (2 * k + a + 0.5) * (2 * k + a + 1.5) + c2 * (1.0 - rec_a[:N]) / 2.0
+    diag = _free_spectrum(spec, N) + c2 * (1.0 - rec_a[:N]) / 2.0
     off = -c2 * np.sqrt(rec_b[1:N]) / 2.0
     empty = (np.empty(0), np.empty(0))
     return GalerkinBlocks(even=(diag, off), odd=empty)
@@ -232,20 +239,8 @@ class EigenSystem:
         """All retained eigenfunctions at x, shape (n_retained, len(x))."""
         return self.coeffs.T @ self.basis_matrix(x, check_domain=check_domain)
 
-    def eval(self, n: int, x):
-        """Eigenfunction n by synthesis of its coefficient column."""
-        if not 0 <= n < self.n_retained:
-            raise ValueError(f"mode {n} is not retained (have {self.n_retained})")
-        scalar = np.isscalar(x) or np.ndim(x) == 0
-        vals = self.coeffs[:, n] @ self.basis_matrix(x)
-        return float(vals[0]) if scalar else vals
-
     def lower_bounds(self) -> np.ndarray:
-        n = np.arange(self.n_retained, dtype=float)
-        a = self.spec.alpha
-        if self.spec.family is Family.GPSWF:
-            return n * (n + 2 * a + 1)
-        return (2 * n + a + 0.5) * (2 * n + a + 1.5)
+        return _free_spectrum(self.spec, self.n_retained)
 
     def upper_bounds(self) -> np.ndarray:
         return self.lower_bounds() + self.spec.c**2
@@ -259,17 +254,6 @@ class EigenSystem:
             "chi": self.chi.tolist(),
             "coeffs": self.coeffs.tolist(),
         }
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    def to_csv(self) -> str:
-        """One row per retained n: n, chi, lower_bound, upper_bound."""
-        lo, hi = self.lower_bounds(), self.upper_bounds()
-        lines = ["n,chi,lower_bound,upper_bound"]
-        for n in range(self.n_retained):
-            lines.append(f"{n},{self.chi[n]:.17g},{lo[n]:.17g},{hi[n]:.17g}")
-        return "\n".join(lines) + "\n"
 
 
 def solve(spec: ProlateSpec) -> EigenSystem:

@@ -112,10 +112,13 @@ def rayleigh(g: SampledFunction, f: SampledFunction):
 
 
 def estimate_mu(alpha: float, c: float, es: EigenSystem, n: int) -> complex:
-    """Transform eigenvalue mu_n by Rayleigh projection <T phi_n, phi_n>.
+    """Transform eigenvalue mu_n of one mode: rayleigh(family_transform(es, f), f)
+    for f row n of the default rule's mode table.
 
-    The projection is robust where phi_n has zeros; for GPSWF the phase of
-    mu_n follows the i^n pattern up to the basis sign convention.
+    Each call forms its own Q x Q kernel; for several modes pass a block of
+    rule_modes rows to family_transform and rayleigh instead, one kernel for
+    the block.  For GPSWF the phase of mu_n follows the i^n pattern up to the
+    basis sign convention.
     """
     if alpha != es.spec.alpha or c != es.spec.c:
         raise ValueError("alpha/c must match the eigensystem parameters")

@@ -14,14 +14,22 @@ from prolatesum.analysis import (
     cluster_ratio,
     convergence_sweep,
     eigenvalue_count,
+    JacobiApproxResult,
     jacobi_approx_residual,
     lp_norm,
     norm_growth_fit,
     operator_norm_probe,
 )
+from prolatesum.cli import _json_text
+from prolatesum.cli import main as cli_main
 from prolatesum.prolate import EigenSystem, Family, ProlateSpec, solve
 from prolatesum.riesz import ExponentTable, RieszConfig, riesz_mean, riesz_weight
+from prolatesum.specfun import jacobi_orthonormal_table
 from prolatesum.transforms import SampledFunction, sample_mode
+
+
+def _reject_constant(constant):
+    raise ValueError(f"non-strict JSON constant {constant}")
 
 
 @pytest.fixture(scope="module")
@@ -210,15 +218,24 @@ class TestConvergenceSweep:
         assert rep.weight_counts.tolist() == [10, 20, 40]
         assert rep.b1_constant <= 1.0
 
-    def test_report_serialization(self, es, rule):
+    def test_report_serialization(self, es, rule, tmp_path):
+        # the report as the CLI writes it: JSON through its strict encoder,
+        # CSV from the sweep command on the same system, rule and function
+        R_grid = [float(es.chi[10]), float(es.chi[20])]
         f = SampledFunction(rule=rule, values=np.exp(rule.nodes))
-        rep = convergence_sweep(f, es, 2.0, 1.0, [float(es.chi[10]), float(es.chi[20])])
-        data = json.loads(rep.to_json())
+        rep = convergence_sweep(f, es, 2.0, 1.0, R_grid)
+        data = json.loads(_json_text(rep.to_dict()), parse_constant=_reject_constant)
         assert data["family"] == "gpswf"
         assert len(data["errors"]) == 2
-        csv = rep.to_csv().strip().split("\n")
+        out = tmp_path / "sweep.csv"
+        assert cli_main(["sweep", "--family", "gpswf", "--alpha", "0.0", "--c", "1.0", "--n", "128",
+                         "--quad-size", "512", "--p", "2", "--fn", "exp", "--r-count", "2",
+                         "--r-start", repr(R_grid[0]), "--r-stop", repr(R_grid[1]),
+                         "--format", "csv", "--output", str(out)]) == 0
+        csv = out.read_text().strip().split("\n")[1:]
         assert csv[0] == "R,error,weight_count,slope_so_far"
         assert len(csv) == 3
+        assert [float(row.split(",")[1]) for row in csv[1:]] == rep.errors.tolist()
 
     def test_grid_validation(self, es, rule):
         f = sample_mode(es, 0, rule=rule)
@@ -298,6 +315,22 @@ class TestModeEvaluationCount:
 
 
 class TestJacobiApproxResidual:
+    @pytest.mark.parametrize("alpha,c,n", [(0.0, 1.0, 0), (0.0, 1.0, 37), (0.5, 4.0, 12),
+                                           (1.2, 8.0, 63)])
+    def test_one_table_equals_two_tables(self, alpha, c, n):
+        # reference: the mode by synthesis over the full basis table, and
+        # J~_n from a second recurrence of n + 1 rows
+        es = solve(ProlateSpec(family=Family.GPSWF, alpha=alpha, c=c, N=128))
+        theta = (np.arange(4096) + 0.5) * np.pi / 4096
+        x = np.cos(theta)
+        amp = float(es.coeffs[n, n])
+        jn = jacobi_orthonormal_table(n + 1, alpha, alpha, x)[n]
+        diff = es.coeffs[:, n] @ es.basis_matrix(x) - amp * jn
+        expected = JacobiApproxResult(residual=float(np.max(np.abs(diff))), amplitude=amp)
+        res = jacobi_approx_residual(es, n)
+        assert res == expected
+        assert np.float64(res.residual).tobytes() == np.float64(expected.residual).tobytes()
+
     def test_c0_exact(self, es0):
         res = jacobi_approx_residual(es0, 7)
         assert res.residual <= 1e-12

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prolatesum import transforms
-from prolatesum.cli import RunConfig, _json_text, build_parser, config_from_args, main
+from prolatesum.cli import RunConfig, _csv_text, _json_text, build_parser, config_from_args, main
 from prolatesum.prolate import EigenSystem, ProlateSpec, solve
 from prolatesum.riesz import RieszConfig, riesz_kernel_table
 
@@ -81,6 +81,17 @@ class TestVerify:
         capsys.readouterr()
         assert out.read_bytes() == first
 
+    def test_csv_is_three_json_lines(self, capsys):
+        code, out, _ = run_cli(["verify", "--n", "16", "--quad-size", "32", "--format", "csv"], capsys)
+        assert code == 0
+        assert out.endswith("\n")
+        config, results, checks = out[:-1].split("\n")
+        assert config.startswith("# config: ") and checks.startswith("# checks: ")
+        loads = lambda text: json.loads(text, parse_constant=_reject_constant)  # noqa: E731
+        assert loads(config.removeprefix("# config: "))["command"] == "verify"
+        assert loads(results) == {"n_checks": 14, "n_pass": 14}
+        assert len(loads(checks.removeprefix("# checks: "))) == 14
+
 
 class TestSweep:
     def test_sweep_report(self, tmp_path, capsys):
@@ -138,6 +149,16 @@ class TestSweep:
         assert "have 4" in err
         code, _, _ = run_cli(["sweep", "--n", "8", "--r-start", "1", "--r-count", "3"], capsys)
         assert code == 0
+
+    def test_start_at_or_below_chi0_exit_1(self, capsys):
+        # every summation weight is 0 at R <= chi_0: the grid must start above it
+        chi0 = solve(ProlateSpec(family="gpswf", alpha=0.0, c=1.0, N=64)).chi[0]
+        for start in ("0.01", repr(float(chi0))):
+            code, out, err = run_cli(["sweep", "--n", "64", "--quad-size", "64", "--r-count", "3",
+                                      "--r-start", start, "--r-stop", "5"], capsys)
+            assert code == 1
+            assert out == ""
+            assert "chi_0" in err and repr(float(chi0)) in err
 
     def test_csv_format(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -355,6 +376,20 @@ class TestArtifactWriter:
         text = _json_text(obj)
         assert json.loads(text, parse_constant=_reject_constant) == {
             "x": [1.0, None, None], "y": None, "z": [None]}
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.lists(st.floats() | st.floats().map(np.float64)
+                                  | st.integers(-2**63, 2**63 - 1).map(np.int64) | st.integers(),
+                                  min_size=1, max_size=4), max_size=5))
+    def test_csv_text_equals_the_fstring_rows(self, rows):
+        # floats include +-0.0, nan, +-inf and subnormals
+        expected = ["h"] + [",".join(f"{v:.17g}" for v in row) for row in rows]
+        assert _csv_text("h", rows) == "\n".join(expected) + "\n"
+        # an integer below 1e17 is written as str() writes it
+        for row in rows:
+            for v in row:
+                if isinstance(v, (int, np.integer)) and abs(int(v)) < 10**17:
+                    assert _csv_text("h", [[v]]) == f"h\n{v}\n"
 
     def test_non_string_key_rejected(self):
         with pytest.raises(TypeError, match="keys must be strings"):

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prolatesum.cli import _json_text
+from prolatesum.cli import main as cli_main
 from prolatesum.prolate import (
     Family,
     ProlateSpec,
@@ -14,6 +16,7 @@ from prolatesum.prolate import (
     solve,
 )
 from prolatesum.specfun import NumericsError, gauss_jacobi, jacobi_orthonormal_table, symtridiag_eigen
+from prolatesum.transforms import sample_mode
 
 
 def gpswf(alpha=0.0, c=1.0, N=128, keep=0.5):
@@ -64,6 +67,24 @@ class TestGalerkinMatrix:
         assert diag == pytest.approx(k * (k + 1), abs=1e-14)
         assert np.max(np.abs(blocks.even[1])) == 0
         assert np.max(np.abs(blocks.odd[1])) == 0
+
+    @pytest.mark.parametrize("family,alpha", [("gpswf", 0.7), ("cpswf", 1.5)])
+    def test_free_spectrum_is_the_c0_diagonal_and_the_lower_bounds(self, family, alpha):
+        k = np.arange(24, dtype=float)
+        if family == "gpswf":
+            expected = k * (k + 2 * alpha + 1)
+        else:
+            expected = (2 * k + alpha + 0.5) * (2 * k + alpha + 1.5)
+        blocks = build_galerkin(ProlateSpec(family=family, alpha=alpha, c=0.0, N=24))
+        diag = np.empty(24)
+        if family == "gpswf":
+            diag[0::2], diag[1::2] = blocks.even[0], blocks.odd[0]
+        else:
+            diag = blocks.even[0]
+        assert np.array_equal(diag, expected)
+        es = solve(ProlateSpec(family=family, alpha=alpha, c=3.0, N=24))
+        assert np.array_equal(es.lower_bounds(), expected[:12])
+        assert np.array_equal(es.upper_bounds(), expected[:12] + 9.0)
 
     def test_gpswf_entry_00(self):
         blocks = build_galerkin(ProlateSpec(family="gpswf", alpha=0.0, c=1.0, N=16))
@@ -234,46 +255,49 @@ class TestRetainedColumnsOnly:
 
 
 class TestEval:
+    """Mode values: row n of mode_matrix(x) is eigenfunction n at x."""
+
     def test_c0_matches_jacobi(self):
         es = gpswf(alpha=0.3, c=0.0, N=32)
-        for x in (-0.7, 0.2, 0.9):
-            assert es.eval(3, x) == pytest.approx(
-                jacobi_orthonormal_table(4, 0.3, 0.3, x)[3, 0], abs=1e-12)
+        x = np.array([-0.7, 0.2, 0.9])
+        np.testing.assert_allclose(es.mode_matrix(x)[3], jacobi_orthonormal_table(4, 0.3, 0.3, x)[3],
+                                   rtol=0, atol=1e-12)
 
     def test_parity_symmetry(self):
         es = gpswf(c=2.0, N=64)
         x = np.linspace(0.05, 0.95, 7)
+        left, right = es.mode_matrix(-x), es.mode_matrix(x)
         for n in (0, 1, 4, 7):
-            left = es.eval(n, -x)
-            right = es.eval(n, x)
-            assert left == pytest.approx((-1) ** n * right, abs=1e-11)
+            assert left[n] == pytest.approx((-1) ** n * right[n], abs=1e-11)
 
     def test_odd_modes_vanish_at_origin(self):
         es = gpswf(c=1.5, N=64)
+        at_zero = es.mode_matrix(0.0)[:, 0]
         for n in (1, 3, 5):
-            assert es.eval(n, 0.0) == 0.0  # odd-parity column, exact zero
+            assert at_zero[n] == 0.0  # odd-parity column, exact zero
 
     def test_refinement_stability_of_values(self):
-        a = gpswf(alpha=0.0, c=1.0, N=64).eval(0, 0.5)
-        b = gpswf(alpha=0.0, c=1.0, N=128).eval(0, 0.5)
+        a = gpswf(alpha=0.0, c=1.0, N=64).mode_matrix(0.5)[0, 0]
+        b = gpswf(alpha=0.0, c=1.0, N=128).mode_matrix(0.5)[0, 0]
         assert abs(a - b) <= 1e-10
 
     def test_domain_rejection(self):
         es = gpswf(N=16)
         with pytest.raises(ValueError):
-            es.eval(0, 1.0)
+            es.mode_matrix(1.0)
         with pytest.raises(ValueError):
-            es.eval(0, -1.2)
+            es.mode_matrix(-1.2)
         esc = cpswf(N=16)
         with pytest.raises(ValueError):
-            esc.eval(0, 0.0)
+            esc.mode_matrix(0.0)
         with pytest.raises(ValueError):
-            esc.eval(0, 1.0)
+            esc.mode_matrix(1.0)
 
     def test_unretained_mode_rejected(self):
         es = gpswf(N=16)
-        with pytest.raises(ValueError):
-            es.eval(8, 0.5)
+        assert es.mode_matrix(0.5).shape == (8, 1)
+        with pytest.raises(ValueError, match="not retained"):
+            sample_mode(es, 8)
 
     def test_zero_counting(self):
         # eigenfunction n has exactly n zeros for small bandwidth
@@ -352,10 +376,19 @@ class TestDefaultRule:
         assert np.all(c.nodes > 0)
 
 
+def strict_loads(text: str):
+    def reject(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 class TestSerialization:
+    """The basis artifact as written by the CLI encoders."""
+
     def test_json_schema(self):
         es = gpswf(N=16)
-        data = json.loads(es.to_json())
+        data = strict_loads(_json_text(es.to_dict()))
         assert set(data) == {"family", "alpha", "c", "N", "chi", "coeffs"}
         assert data["family"] == "gpswf"
         assert data["N"] == 16
@@ -363,9 +396,13 @@ class TestSerialization:
         assert len(data["coeffs"]) == 16 and len(data["coeffs"][0]) == 8
         assert data["chi"] == es.chi.tolist()
 
-    def test_csv_rows(self):
+    def test_csv_rows(self, tmp_path):
         es = cpswf(N=16, c=2.0)
-        lines = es.to_csv().strip().split("\n")
+        out = tmp_path / "basis.csv"
+        assert cli_main(["basis", "--family", "cpswf", "--alpha", "0.5", "--c", "2.0", "--n", "16",
+                         "--format", "csv", "--output", str(out)]) == 0
+        config, *lines = out.read_text().strip().split("\n")
+        assert config.startswith("# config: ")
         assert lines[0] == "n,chi,lower_bound,upper_bound"
         assert len(lines) == 1 + es.n_retained
         first = lines[1].split(",")

@@ -293,7 +293,8 @@ class TestRieszKernel:
         cfg = RieszConfig(R=float(es.chi[1]) - 0.5, delta=40.0)
         w0 = riesz_weight(es.chi[0], cfg)
         x, y = 0.3, -0.45
-        expected = w0 * es.eval(0, x) * es.eval(0, y)
+        phi0_x, phi0_y = es.mode_matrix([x, y])[0]
+        expected = w0 * phi0_x * phi0_y
         assert riesz_kernel(es, cfg, x, y) == pytest.approx(expected, rel=1e-10)
 
     def test_reproducing_identity(self, es, rule):

@@ -10,6 +10,7 @@ from prolatesum.transforms import (
     apply_Qc,
     bandlimit_kernel,
     estimate_mu,
+    family_transform,
     finite_fourier,
     finite_hankel,
     rayleigh,
@@ -29,6 +30,15 @@ def es_c5():
 
 def weight_mass(alpha):
     return 2.0 ** (2 * alpha + 1) * beta(alpha + 1, alpha + 1)
+
+
+def block_mu(es, count, size=512):
+    """Modes 0..count-1 on the default rule as one block f, their transform
+    g, and mu_n = rayleigh(g, f): one kernel for the block."""
+    rule = es.default_rule(size)
+    f = SampledFunction(rule=rule, values=es.rule_modes(rule)[:count])
+    g = family_transform(es, f)
+    return f, g, rayleigh(g, f)
 
 
 class TestSampledFunction:
@@ -117,7 +127,7 @@ class TestFiniteFourier:
     def test_eigen_residual(self, es_g5):
         f = sample_mode(es_g5, 0, size=512)
         g = finite_fourier(0.0, 5.0, f)
-        mu = estimate_mu(0.0, 5.0, es_g5, 0)
+        mu = rayleigh(g, f)
         w = f.rule.weights
         num = np.sqrt(np.sum(w * np.abs(g.values - mu * f.values) ** 2))
         den = abs(mu) * np.sqrt(np.sum(w * np.abs(f.values) ** 2))
@@ -154,13 +164,10 @@ class TestQc:
 
     def test_eigenvalue_matches_fourier_composition(self, es_g5):
         # Q_c = (c/2pi) F* F  =>  Q eigenvalue equals (c/2pi)|mu_n|^2
-        rule = es_g5.default_rule(512)
+        f, _, mu = block_mu(es_g5, 6)
+        lam = rayleigh(apply_Qc(0.0, 5.0, f), f)
         for n in range(6):
-            f = sample_mode(es_g5, n, rule=rule)
-            q = apply_Qc(0.0, 5.0, f)
-            lam = np.sum(rule.weights * q.values * f.values)
-            mu = estimate_mu(0.0, 5.0, es_g5, n)
-            assert abs(lam - 5.0 / (2 * np.pi) * abs(mu) ** 2) <= 1e-8
+            assert abs(lam[n] - 5.0 / (2 * np.pi) * abs(mu[n]) ** 2) <= 1e-8
 
     def test_self_adjoint(self):
         rule = gauss_jacobi(96, 0.5, 0.5)
@@ -195,12 +202,10 @@ class TestFiniteHankel:
         assert np.max(np.abs(g.values - oracle)) <= 1e-10
 
     def test_eigen_residual_above_noise_floor(self, es_c5):
-        rule = es_c5.default_rule(512)
+        f, g, mus = block_mu(es_c5, 9)
         for n in range(9):
-            f = sample_mode(es_c5, n, rule=rule)
-            g = finite_hankel(0.5, 5.0, f)
-            mu = estimate_mu(0.5, 5.0, es_c5, n)
-            resid = np.sqrt(np.sum(rule.weights * (g.values - mu.real * f.values) ** 2))
+            mu = mus[n]
+            resid = np.sqrt(np.sum(f.rule.weights * (g.values[n] - mu.real * f.values[n]) ** 2))
             if abs(mu) >= 1e-6:
                 assert resid / abs(mu) <= 1e-6, n
             else:
@@ -222,33 +227,41 @@ class TestFiniteHankel:
 
 
 class TestEstimateMu:
+    """mu_n from family_transform + rayleigh on one block of mode-table rows."""
+
     def test_phase_pattern(self, es_g5):
         # mu_n = i^n |mu_n| up to the sign convention: phase is a multiple of pi/2
-        for n in range(8):
-            mu = estimate_mu(0.0, 5.0, es_g5, n)
+        _, _, mus = block_mu(es_g5, 8)
+        for n, mu in enumerate(mus):
             phase = np.angle(mu) / (np.pi / 2)
             assert abs(phase - round(phase)) <= 1e-6
             assert round(phase) % 2 == n % 2  # real for even n, imaginary for odd
 
     def test_magnitude_decreasing(self, es_g5):
-        mags = [abs(estimate_mu(0.0, 5.0, es_g5, n)) for n in range(9)]
+        mags = np.abs(block_mu(es_g5, 9)[2])
         assert np.all(np.diff(mags) < 0)
 
     def test_qc_eigenvalue_range(self, es_g5):
-        for n in range(9):
-            lam = 5.0 / (2 * np.pi) * abs(estimate_mu(0.0, 5.0, es_g5, n)) ** 2
+        for mu in block_mu(es_g5, 9)[2]:
+            lam = 5.0 / (2 * np.pi) * abs(mu) ** 2
             assert 0.0 < lam <= 1.0 + 1e-10
 
     def test_cpswf_concentration_range(self, es_c5):
-        for n in range(6):
-            mu = estimate_mu(0.5, 5.0, es_c5, n)
+        for mu in block_mu(es_c5, 6)[2]:
             assert 0.0 < abs(mu) ** 2 <= 1.0 + 1e-10
 
     def test_small_c_limit(self):
         alpha = 0.3
         es = solve(ProlateSpec(family=Family.GPSWF, alpha=alpha, c=1e-4, N=32))
-        mu0 = estimate_mu(alpha, 1e-4, es, 0)
+        mu0 = block_mu(es, 1)[2][0]
         assert abs(mu0 - weight_mass(alpha)) <= 1e-6
+
+    @pytest.mark.parametrize("es_name", ["es_g5", "es_c5"])
+    def test_one_mode_alias_is_a_block_row(self, es_name, request):
+        es = request.getfixturevalue(es_name)
+        mus = block_mu(es, 5)[2]
+        for n in range(5):
+            assert estimate_mu(es.spec.alpha, es.spec.c, es, n) == complex(mus[n])
 
     def test_parameter_mismatch_rejected(self, es_g5):
         with pytest.raises(ValueError):
