@@ -196,12 +196,7 @@ class ConvergenceReport:
     probe_growth: float | None = None
 
     def to_dict(self) -> dict:
-        def clean(v):
-            if isinstance(v, np.ndarray):
-                return v.tolist()
-            return v
-
-        return {k: clean(v) for k, v in self.__dict__.items()}
+        return dict(self.__dict__)
 
 
 def convergence_sweep(f: SampledFunction, es: EigenSystem, p: float, delta: float,

@@ -100,17 +100,30 @@ def _json_text(obj) -> str:
     """Strict JSON of obj with the bytes of json.dumps(obj, indent=2,
     sort_keys=True), except that a non-finite float is written as null.
 
-    A list of floats (np.float64 included) is joined in one pass with
-    float.__repr__, the form json itself writes for a finite float; other
-    scalars are written by json.dumps.  Dict keys must be strings.
+    A float64 ndarray is written with the bytes of its tolist(), and any
+    other ndarray through tolist().  A list of floats (np.float64 included)
+    is joined in one pass with float.__repr__, the form json itself writes
+    for a finite float; other scalars are written by json.dumps.  Dict keys
+    must be strings.
     """
     chunks = []
     _json_chunks(obj, "\n", chunks)
     return "".join(chunks)
 
 
+def _json_line(obj) -> str:
+    """_json_text(obj) on one line: the bytes of json.dumps(obj,
+    sort_keys=True), except that a non-finite float is written as null."""
+    return json.dumps(json.loads(_json_text(obj)), sort_keys=True)
+
+
 def _json_chunks(obj, pad: str, out: list) -> None:
     # pad is the newline and indent that close obj; its items sit one level in
+    if isinstance(obj, np.ndarray):
+        if obj.dtype == np.float64 and obj.ndim:
+            _float_array_chunks(obj, pad, out)
+            return
+        obj = obj.tolist()
     if isinstance(obj, float):
         out.append(float.__repr__(obj) if math.isfinite(obj) else "null")
         return
@@ -142,33 +155,60 @@ def _json_chunks(obj, pad: str, out: list) -> None:
         out.append(json.dumps(obj))
 
 
+def _float_array_chunks(a: np.ndarray, pad: str, out: list) -> None:
+    # the bytes of _json_chunks(a.tolist(), pad, out) in time proportional to
+    # the nonzero entries: each row starts as the shared string "0.0", and
+    # only entries whose bits are not those of +0.0 (-0.0 among them) are
+    # formatted
+    if not len(a):
+        out.append("[]")
+        return
+    inner = pad + "  "
+    if a.ndim > 1:
+        sep = "[" + inner
+        for row in a:
+            out.append(sep)
+            _float_array_chunks(row, inner, out)
+            sep = "," + inner
+    else:
+        text = ["0.0"] * a.size
+        nonzero = np.flatnonzero(a.view(np.int64))
+        for i, v in zip(nonzero.tolist(), a[nonzero].tolist()):
+            text[i] = float.__repr__(v) if math.isfinite(v) else "null"
+        out.append("[" + inner + ("," + inner).join(text))
+    out.append(pad + "]")
+
+
 def _csv_text(header: str, rows) -> str:
-    """CSV text: the header line, then one line per row with every value
-    written as format(v, ".17g"), the same bytes for a float, nan, inf,
-    np.float64, np.int64 or int."""
+    """CSV text: the header line, then one line per row with every integer
+    (int or np.integer) written exactly as str(int(v)), a bool as 1 or 0,
+    and every other value as format(v, ".17g"), the same bytes for a float,
+    nan, inf or np.float64."""
     lines = [header]
-    lines.extend(",".join(format(v, ".17g") for v in row) for row in rows)
+    lines.extend(",".join(str(int(v)) if isinstance(v, (int, np.integer)) else format(v, ".17g")
+                          for v in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
 def _emit(cfg: RunConfig, results, checks: list[dict]) -> None:
     if cfg.fmt == "json":
-        payload = {"config": asdict(cfg), "results": results, "checks": checks}
-        text = _json_text(payload) + "\n"
+        chunks = []
+        _json_chunks({"config": asdict(cfg), "results": results, "checks": checks}, "\n", chunks)
+        chunks.append("\n")
     else:
-        header = "# config: " + json.dumps(asdict(cfg), sort_keys=True) + "\n"
-        body = results if isinstance(results, str) else json.dumps(results, sort_keys=True) + "\n"
-        text = header + body
+        # each comment line and a results dict is one line of strict JSON
+        chunks = ["# config: " + _json_line(asdict(cfg)) + "\n",
+                  results if isinstance(results, str) else _json_line(results) + "\n"]
         if checks:
-            text += "# checks: " + json.dumps(checks, sort_keys=True) + "\n"
+            chunks.append("# checks: " + _json_line(checks) + "\n")
     if cfg.output:
         try:
             with open(cfg.output, "w") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as exc:
             raise UsageError(f"cannot write {cfg.output}: {exc.strerror}") from exc
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +381,7 @@ def _cmd_kernel(cfg: RunConfig) -> int:
     pts = lo + (hi - lo) * (np.arange(cfg.grid_points) + 0.5) / cfg.grid_points
     K = riesz.riesz_kernel_table(es, RieszConfig(R=R, delta=cfg.delta), pts)
     if cfg.fmt == "json":
-        _emit(cfg, {"R": R, "delta": cfg.delta, "points": pts.tolist(), "kernel": K.tolist()}, [])
+        _emit(cfg, {"R": R, "delta": cfg.delta, "points": pts, "kernel": K}, [])
     else:
         x = pts.tolist()
         rows = ((xi, yj, v) for xi, row in zip(x, K.tolist()) for yj, v in zip(x, row))

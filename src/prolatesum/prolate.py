@@ -251,8 +251,8 @@ class EigenSystem:
             "alpha": self.spec.alpha,
             "c": self.spec.c,
             "N": self.spec.N,
-            "chi": self.chi.tolist(),
-            "coeffs": self.coeffs.tolist(),
+            "chi": self.chi,
+            "coeffs": self.coeffs,
         }
 
 
@@ -283,14 +283,22 @@ def solve(spec: ProlateSpec) -> EigenSystem:
     if np.any(np.diff(chi) <= 0):
         raise NumericsError("merged spectrum is not strictly increasing")
     cols = np.zeros((N, m))
+    flip = np.zeros(m, dtype=bool)
     start = 0
-    for offset, w, v in solved:
+    while solved:
+        offset, w, v = solved.pop(0)
         picked = (order >= start) & (order < start + w.size)
+        block = v[:, order[picked] - start]
+        del v  # only the picked columns are kept
+        # the sign convention: the other parity's rows are zero, so the
+        # largest entry of a column lies on its block's rows
+        lead = np.argmax(np.abs(block), axis=0)
+        flip[picked] = block[lead, np.arange(lead.size)] < 0
         rows = slice(offset, None, 2) if spec.family is Family.GPSWF else slice(None)
-        cols[rows, picked] = v[:, order[picked] - start]
+        cols[rows, picked] = block
         start += w.size
-    lead = np.argmax(np.abs(cols), axis=0)
-    np.negative(cols, out=cols, where=cols[lead, np.arange(m)] < 0)
+    # whole columns are negated, zeros too, so a flipped column carries -0.0
+    np.negative(cols, out=cols, where=flip)
     return EigenSystem(
         spec=spec,
         chi=chi,

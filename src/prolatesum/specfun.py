@@ -12,7 +12,6 @@ from math import lgamma, log, pi
 
 import numpy as np
 from scipy.linalg import LinAlgError, eigh_tridiagonal
-from scipy.special import betaln
 
 
 class NumericsError(RuntimeError):
@@ -64,7 +63,7 @@ def jacobi_recurrence(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarra
     alpha = np.empty(n)
     beta = np.empty(n)
     alpha[0] = (b - a) / (ab + 2)
-    beta[0] = np.exp((ab + 1) * log(2.0) + betaln(a + 1, b + 1))
+    beta[0] = np.exp((ab + 1) * log(2.0) + lgamma(a + 1) + lgamma(b + 1) - lgamma(ab + 2))
     if n > 1:
         kk = k[1:]
         alpha[1:] = (b * b - a * a) / ((2 * kk + ab) * (2 * kk + ab + 2))

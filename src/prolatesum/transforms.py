@@ -9,10 +9,9 @@ witness that the integral and differential routes agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi
+from math import gamma, pi
 
 import numpy as np
-from scipy.special import gamma
 
 from .prolate import EigenSystem, Family, require_family_grid
 from .specfun import QuadratureRule, bessel_j
@@ -63,13 +62,17 @@ def bandlimit_kernel(alpha: float, t) -> np.ndarray:
 
     At alpha = 0 this is 2 sin(t)/t with value 2 at t = 0.
     """
+    try:
+        gamma_1, gamma_15 = gamma(alpha + 1), gamma(alpha + 1.5)
+    except OverflowError:
+        raise ValueError(f"alpha={alpha} is too large: Gamma(alpha + 3/2) overflows") from None
     t = np.abs(np.atleast_1d(np.asarray(t, dtype=float)))
     out = np.empty_like(t)
     tiny = t < 1e-8
-    out[tiny] = np.sqrt(pi) * gamma(alpha + 1) / gamma(alpha + 1.5)
+    out[tiny] = np.sqrt(pi) * gamma_1 / gamma_15
     if np.any(~tiny):
         ts = t[~tiny]
-        out[~tiny] = (np.sqrt(pi) * 2 ** (alpha + 0.5) * gamma(alpha + 1)
+        out[~tiny] = (np.sqrt(pi) * 2 ** (alpha + 0.5) * gamma_1
                       * bessel_j(alpha + 0.5, ts) / ts ** (alpha + 0.5))
     return out
 

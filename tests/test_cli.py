@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from prolatesum import transforms
 from prolatesum.cli import RunConfig, _csv_text, _json_text, build_parser, config_from_args, main
@@ -364,6 +365,13 @@ _JSON_VALUES = st.recursive(
     max_leaves=40,
 )
 
+# float64 arrays of 1 to 3 axes, some empty; entries include +-0.0, subnormals,
+# nan and +-inf, and many arrays are mostly exact zeros
+_FLOAT_ARRAYS = hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=6),
+    elements=st.floats() | st.sampled_from([0.0, 0.0, 0.0, -0.0]),
+)
+
 
 class TestArtifactWriter:
     @settings(max_examples=200, deadline=None)
@@ -382,14 +390,79 @@ class TestArtifactWriter:
                                   | st.integers(-2**63, 2**63 - 1).map(np.int64) | st.integers(),
                                   min_size=1, max_size=4), max_size=5))
     def test_csv_text_equals_the_fstring_rows(self, rows):
-        # floats include +-0.0, nan, +-inf and subnormals
-        expected = ["h"] + [",".join(f"{v:.17g}" for v in row) for row in rows]
+        # floats include +-0.0, nan, +-inf and subnormals; an integer is
+        # written exactly, also beyond 2**53 where ".17g" would round it
+        expected = ["h"] + [",".join(f"{v}" if isinstance(v, (int, np.integer)) else f"{v:.17g}"
+                                     for v in row) for row in rows]
         assert _csv_text("h", rows) == "\n".join(expected) + "\n"
-        # an integer below 1e17 is written as str() writes it
         for row in rows:
             for v in row:
-                if isinstance(v, (int, np.integer)) and abs(int(v)) < 10**17:
+                if isinstance(v, (int, np.integer)):
                     assert _csv_text("h", [[v]]) == f"h\n{v}\n"
+
+    def test_csv_text_integers_beyond_2_53(self):
+        big = 2**53 + 1
+        assert _csv_text("h", [[big, np.int64(-big), True, 0.5]]) == f"h\n{big},{-big},1,0.5\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=_FLOAT_ARRAYS)
+    def test_float_array_bytes_equal_its_list(self, a):
+        expected = json.dumps(np.where(np.isfinite(a), a, None).tolist(), indent=2, sort_keys=True)
+        assert _json_text(a) == _json_text(a.tolist()) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=_FLOAT_ARRAYS, b=_FLOAT_ARRAYS, ints=hnp.arrays(np.int64, hnp.array_shapes(min_dims=0)),
+           single=hnp.arrays(np.float32, hnp.array_shapes(min_dims=0, max_side=3)))
+    def test_arrays_in_dicts_are_written_as_their_lists(self, a, b, ints, single):
+        obj = {"a": a, "nested": {"b": [b, 1.5, a]}, "ints": ints, "single": single}
+        listed = {"a": a.tolist(), "nested": {"b": [b.tolist(), 1.5, a.tolist()]},
+                  "ints": ints.tolist(), "single": single.tolist()}
+        assert _json_text(obj) == _json_text(listed)
+
+    def test_gpswf_basis_artifact_equals_its_list_encoding(self, tmp_path, capsys):
+        out = tmp_path / "basis.json"
+        args = ["basis", "--family", "gpswf", "--alpha", "0.5", "--c", "16", "--n", "64",
+                "--output", str(out)]
+        assert main(args) == 0
+        cfg = config_from_args(build_parser().parse_args(args))
+        es = solve(ProlateSpec(family="gpswf", alpha=0.5, c=16.0, N=64))
+        results = dict(es.to_dict(), chi=es.chi.tolist(), coeffs=es.coeffs.tolist())
+        expected = _json_text({"config": asdict(cfg), "results": results, "checks": []}) + "\n"
+        text = out.read_text()
+        assert text == expected
+        # at c = 16 some columns are flipped: their other parity's rows hold -0.0
+        assert "-0.0,\n" in text
+
+    def test_csv_comment_lines_are_strict_json(self, tmp_path, capsys):
+        csv_out, json_out = tmp_path / "sweep.csv", tmp_path / "sweep.json"
+        args = ["sweep", "--n", "64", "--p", "inf", "--quad-size", "64"]
+        assert main(args + ["--format", "csv", "--output", str(csv_out)]) == 0
+        assert main(args + ["--output", str(json_out)]) == 0
+        line = csv_out.read_text().split("\n")[0].removeprefix("# config: ")
+        config = json.loads(line, parse_constant=_reject_constant)
+        expected = json.loads(json_out.read_text(), parse_constant=_reject_constant)["config"]
+        assert config["p"] is None
+        assert config == dict(expected, fmt="csv", output=str(csv_out))
+
+    def test_verify_csv_lines_agree_with_the_json_artifact(self, tmp_path, capsys):
+        csv_out, json_out = tmp_path / "verify.csv", tmp_path / "verify.json"
+        args = ["verify", "--family", "cpswf", "--alpha", "1.5", "--n", "32", "--quad-size", "64"]
+        assert main(args + ["--format", "csv", "--output", str(csv_out)]) == 0
+        assert main(args + ["--output", str(json_out)]) == 0
+        _, results, checks, end = csv_out.read_text().split("\n")
+        loads = lambda text: json.loads(text, parse_constant=_reject_constant)  # noqa: E731
+        expected = loads(json_out.read_text())
+        assert end == ""
+        assert loads(results) == expected["results"]
+        assert loads(checks.removeprefix("# checks: ")) == expected["checks"]
+
+    def test_finite_csv_config_line_is_the_stdlib_line(self, tmp_path, capsys):
+        out = tmp_path / "basis.csv"
+        args = ["basis", "--n", "16", "--c", "0.1", "--format", "csv", "--output", str(out)]
+        assert main(args) == 0
+        cfg = config_from_args(build_parser().parse_args(args))
+        line = out.read_text().split("\n")[0]
+        assert line == "# config: " + json.dumps(asdict(cfg), sort_keys=True)
 
     def test_non_string_key_rejected(self):
         with pytest.raises(TypeError, match="keys must be strings"):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -252,6 +253,18 @@ class TestRetainedColumnsOnly:
         es = solve(ProlateSpec(family=family, alpha=0.5, c=4.0, N=N))
         base = es.coeffs if es.coeffs.base is None else es.coeffs.base
         assert base.size <= N * es.n_retained
+
+    def test_gpswf_peak_memory_is_the_blocks_and_coeffs(self):
+        # at its peak solve holds both (N/2)^2 block eigenvector matrices, coeffs
+        # (as large as both) and one block's picked columns: 2.25 coeffs.  A
+        # sign convention over a coeffs-sized |coeffs| temporary reaches 4.
+        tracemalloc.start()
+        try:
+            es = gpswf(c=20.0, N=1024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * es.coeffs.nbytes
 
 
 class TestEval:

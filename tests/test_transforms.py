@@ -162,6 +162,11 @@ class TestQc:
     def test_kernel_even(self):
         assert np.allclose(bandlimit_kernel(0.7, -2.3), bandlimit_kernel(0.7, 2.3))
 
+    def test_kernel_overflowing_gamma_rejected(self):
+        # Gamma(alpha + 3/2) exceeds the float range from alpha = 170.2
+        with pytest.raises(ValueError, match="too large"):
+            bandlimit_kernel(200.0, 1.0)
+
     def test_eigenvalue_matches_fourier_composition(self, es_g5):
         # Q_c = (c/2pi) F* F  =>  Q eigenvalue equals (c/2pi)|mu_n|^2
         f, _, mu = block_mu(es_g5, 6)
