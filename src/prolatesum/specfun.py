@@ -8,7 +8,7 @@ tridiagonal eigensolver (LAPACK *stemr*, MRRR), and Bessel J of real order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lgamma, log, pi
+from math import gamma, lgamma, log, pi
 
 import numpy as np
 from scipy.linalg import LinAlgError, eigh_tridiagonal
@@ -63,7 +63,10 @@ def jacobi_recurrence(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarra
     alpha = np.empty(n)
     beta = np.empty(n)
     alpha[0] = (b - a) / (ab + 2)
-    beta[0] = np.exp((ab + 1) * log(2.0) + lgamma(a + 1) + lgamma(b + 1) - lgamma(ab + 2))
+    if ab + 2 <= 171:  # every Gamma is finite: the ratio keeps full accuracy
+        beta[0] = 2.0 ** (ab + 1) * (gamma(a + 1) / gamma(ab + 2) * gamma(b + 1))
+    else:  # log-Gammas cancel here, losing digits as a + b grows
+        beta[0] = np.exp((ab + 1) * log(2.0) + lgamma(a + 1) + lgamma(b + 1) - lgamma(ab + 2))
     if n > 1:
         kk = k[1:]
         alpha[1:] = (b * b - a * a) / ((2 * kk + ab) * (2 * kk + ab + 2))

@@ -409,6 +409,9 @@ class TestArtifactWriter:
     def test_float_array_bytes_equal_its_list(self, a):
         expected = json.dumps(np.where(np.isfinite(a), a, None).tolist(), indent=2, sort_keys=True)
         assert _json_text(a) == _json_text(a.tolist()) == expected
+        # a transposed view has rows that are not contiguous
+        transposed = json.dumps(np.where(np.isfinite(a.T), a.T, None).tolist(), indent=2, sort_keys=True)
+        assert _json_text(a.T) == transposed
 
     @settings(max_examples=100, deadline=None)
     @given(a=_FLOAT_ARRAYS, b=_FLOAT_ARRAYS, ints=hnp.arrays(np.int64, hnp.array_shapes(min_dims=0)),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
@@ -294,6 +296,22 @@ def test_recurrence_mass_matches_moment_oracle():
     for a, b in [(0.0, 0.0), (0.5, 0.5), (1.3, -0.2)]:
         _, beta = jacobi_recurrence(3, a, b)
         assert beta[0] == pytest.approx(jacobi_moments(0, a, b)[0], rel=1e-14)
+
+
+@pytest.mark.parametrize("a,b,rel", [(20.0, 0.0, 2e-15), (60.0, 0.0, 2e-15), (20.0, 20.0, 2e-15),
+                                     (60.0, 60.0, 2e-15), (84.5, 84.5, 2e-15), (150.0, 0.0, 2e-15),
+                                     (100.0, 100.0, 1e-13)])
+def test_mass_and_weight_sum_at_large_alpha_against_mpmath(a, b, rel):
+    # beta_0 = 2^(a+b+1) B(a+1, b+1) at large CPSWF and GPSWF alpha, where a
+    # sum of log-Gammas loses digits to cancellation (4e-14 at a = 60); past
+    # a + b + 2 = 171, where Gamma overflows, that sum is all there is
+    import mpmath as mp
+
+    with mp.workdps(40):
+        mass = float(2 ** (mp.mpf(a) + b + 1) * mp.beta(a + 1, b + 1))
+    _, beta = jacobi_recurrence(1, a, b)
+    assert abs(beta[0] - mass) <= rel * mass
+    assert abs(math.fsum(gauss_jacobi(8, a, b).weights) - mass) <= 2.5 * rel * mass
 
 
 class TestRulesReadOnly:
