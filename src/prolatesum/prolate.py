@@ -108,25 +108,13 @@ class ProlateSpec:
         return int(np.floor(self.N * self.keep_fraction))
 
 
-class GalerkinBlocks(NamedTuple):
-    """Symmetric tridiagonal blocks (diag, offdiag) of the Galerkin matrix.
+class GalerkinBlock(NamedTuple):
+    """One symmetric tridiagonal block (diag, off) of the Galerkin matrix and
+    the basis rows it couples, so that its eigenvectors fill coeffs[rows]."""
 
-    GPSWF couples only basis indices of equal parity, giving an even and an
-    odd block; CPSWF is tridiagonal in a single block (odd block empty).
-    """
-
-    even: tuple[np.ndarray, np.ndarray]
-    odd: tuple[np.ndarray, np.ndarray]
-
-
-def x2_jacobi_couplings(alpha: float, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """<x^2 J~_k, J~_j> for the symmetric Jacobi basis: diagonal (j = k) and
-    second superdiagonal (j = k+2), from the three-term recurrence."""
-    _, beta = jacobi_recurrence(N + 2, alpha, alpha)
-    k = np.arange(N)
-    diag = beta[k + 1] + np.where(k >= 1, beta[k], 0.0)
-    off2 = np.sqrt(beta[k[:-2] + 1] * beta[k[:-2] + 2])
-    return diag, off2
+    rows: slice
+    diag: np.ndarray
+    off: np.ndarray
 
 
 def _free_spectrum(spec: ProlateSpec, size: int) -> np.ndarray:
@@ -139,29 +127,30 @@ def _free_spectrum(spec: ProlateSpec, size: int) -> np.ndarray:
     return (2 * k + a + 0.5) * (2 * k + a + 1.5)
 
 
-def build_galerkin(spec: ProlateSpec) -> GalerkinBlocks:
+def build_galerkin(spec: ProlateSpec) -> tuple[GalerkinBlock, ...]:
     """Assemble the banded Galerkin matrix of the Sturm-Liouville operator.
 
     GPSWF: M_kj = k(k+2a+1) delta_kj + c^2 <x^2 J~_k, J~_j>, nonzero only for
-    |k-j| in {0, 2}.  CPSWF: M_kj = (2k+a+1/2)(2k+a+3/2) delta_kj
-    + c^2 <x^2 T~_k, T~_j>, nonzero only for |k-j| in {0, 1}.
+    |k-j| in {0, 2}, so even and odd k form two blocks (rows 0::2 and 1::2).
+    CPSWF: M_kj = (2k+a+1/2)(2k+a+3/2) delta_kj + c^2 <x^2 T~_k, T~_j>,
+    nonzero only for |k-j| in {0, 1}: one block over all rows.
     """
     a, c2, N = spec.alpha, spec.c**2, spec.N
     if spec.family is Family.GPSWF:
-        x2d, x2o = x2_jacobi_couplings(a, N)
-        diag = _free_spectrum(spec, N) + c2 * x2d
-        off = c2 * x2o  # couples k and k+2
-        even = (diag[0::2], off[0::2])
-        odd = (diag[1::2], off[1::2])
-        return GalerkinBlocks(even=even, odd=odd)
+        # <x^2 J~_k, J~_j> from the (a, a) three-term recurrence:
+        # beta_{k+1} + beta_k for j = k and sqrt(beta_{k+1} beta_{k+2}) for j = k+2
+        _, beta = jacobi_recurrence(N + 2, a, a)
+        k = np.arange(N)
+        diag = _free_spectrum(spec, N) + c2 * (beta[k + 1] + np.where(k >= 1, beta[k], 0.0))
+        off = c2 * np.sqrt(beta[k[:-2] + 1] * beta[k[:-2] + 2])
+        return tuple(GalerkinBlock(slice(r, None, 2), diag[r::2], off[r::2]) for r in (0, 1))
     # CPSWF: in the T~ basis, <x^2 T~_k, T~_j> = (1 - alpha_k)/2 on the
     # diagonal and -sqrt(beta_{k+1})/2 on the first off-diagonal, with
     # alpha_k, beta_k the (a, 0) Jacobi recurrence coefficients in u = 1-2x^2.
     rec_a, rec_b = jacobi_recurrence(N + 1, a, 0.0)
     diag = _free_spectrum(spec, N) + c2 * (1.0 - rec_a[:N]) / 2.0
     off = -c2 * np.sqrt(rec_b[1:N]) / 2.0
-    empty = (np.empty(0), np.empty(0))
-    return GalerkinBlocks(even=(diag, off), odd=empty)
+    return (GalerkinBlock(slice(None), diag, off),)
 
 
 @dataclass
@@ -274,10 +263,9 @@ def solve(spec: ProlateSpec) -> EigenSystem:
     N, m = spec.N, spec.n_retained
     # solve each block, merge and sort the spectra, then place only the m
     # retained columns: no (N, N) array is ever formed
-    solved = [(offset, *symtridiag_eigen(diag, off))
-              for offset, (diag, off) in enumerate(blocks) if diag.size]
-    chi = np.concatenate([w for _, w, _ in solved])
-    parity = np.concatenate([np.full(w.size, offset) for offset, w, _ in solved])
+    solved = [symtridiag_eigen(b.diag, b.off) for b in blocks]
+    chi = np.concatenate([w for w, _ in solved])
+    parity = np.concatenate([np.full(w.size, i) for i, (w, _) in enumerate(solved)])
     order = np.argsort(chi)[:m]
     chi, parity = chi[order], parity[order]
     if np.any(np.diff(chi) <= 0):
@@ -285,17 +273,16 @@ def solve(spec: ProlateSpec) -> EigenSystem:
     cols = np.zeros((N, m))
     flip = np.zeros(m, dtype=bool)
     start = 0
-    while solved:
-        offset, w, v = solved.pop(0)
+    for b in blocks:
+        w, v = solved.pop(0)
         picked = (order >= start) & (order < start + w.size)
-        block = v[:, order[picked] - start]
+        vecs = v[:, order[picked] - start]
         del v  # only the picked columns are kept
-        # the sign convention: the other parity's rows are zero, so the
+        # the sign convention: the other blocks' rows are zero, so the
         # largest entry of a column lies on its block's rows
-        lead = np.argmax(np.abs(block), axis=0)
-        flip[picked] = block[lead, np.arange(lead.size)] < 0
-        rows = slice(offset, None, 2) if spec.family is Family.GPSWF else slice(None)
-        cols[rows, picked] = block
+        lead = np.argmax(np.abs(vecs), axis=0)
+        flip[picked] = vecs[lead, np.arange(lead.size)] < 0
+        cols[b.rows, picked] = vecs
         start += w.size
     # whole columns are negated, zeros too, so a flipped column carries -0.0
     np.negative(cols, out=cols, where=flip)

@@ -208,60 +208,32 @@ def _near(p: float, q: float) -> bool:
     return math.isclose(p, q, rel_tol=1e-12)
 
 
-def gamma_gpswf(alpha: float, p: float, eps_choice: float = 0.01,
-                allow_extended_range: bool = False) -> float:
-    """Norm-growth exponent gamma_alpha(p) of the weighted-family theorem.
-
-    Piecewise: alpha+1 at p=1, 0 below the dual critical exponent p'_0,
-    the arbitrary positive eps_choice on the critical line p = p'_0, and
-    2(alpha+1)(1/2 - 1/p) - 1/2 above it, with p'_0 dual to
-    p_0 = 2 - 1/(alpha + 3/2).
-    """
-    if not p >= 1:
-        raise ValueError("p must be >= 1")
-    if not eps_choice > 0:
-        raise ValueError("eps_choice must be positive")
-    if not allow_extended_range and not 0.0 <= alpha < 1.5:
-        raise ValueError(
-            "alpha outside [0, 3/2); pass allow_extended_range=True to use the "
-            "sufficiency-only range alpha > -1/2"
-        )
-    if alpha <= -0.5:
-        raise ValueError("alpha must be > -1/2")
-    p0 = 2.0 - 1.0 / (alpha + 1.5)
-    p0_dual = dual_exponent(p0)
-    if p == 1:
-        return alpha + 1.0
-    if _near(p, p0_dual):
-        return eps_choice
-    if p < p0_dual:
-        return 0.0
-    inv_p = 0.0 if p == math.inf else 1.0 / p
-    return 2.0 * (alpha + 1.0) * (0.5 - inv_p) - 0.5
-
-
-def gamma_cpswf(p: float, eps_choice: float = 0.01) -> float:
-    """Norm-growth exponent gamma(p) of the circular-family theorem:
-    1 at p=1, 1/p - 1/2 for 1 < p < 4, eps_choice - 1/4 at p = 4, and
-    (1/3)(1/p - 1) for p > 4, implemented verbatim from the stated table."""
-    if not p >= 1:
-        raise ValueError("p must be >= 1")
-    if not eps_choice > 0:
-        raise ValueError("eps_choice must be positive")
-    if p == 1:
-        return 1.0
-    if _near(p, 4.0):
-        return eps_choice - 0.25
-    inv_p = 0.0 if p == math.inf else 1.0 / p
-    if p < 4.0:
-        return inv_p - 0.5
-    return (inv_p - 1.0) / 3.0
-
-
 @dataclass(frozen=True)
 class ExponentTable:
-    """Family exponents: gamma(p), the critical pair (p_0, p'_0), and the
-    eigenvalue growth exponent (chi_n >= C n^epsilon with epsilon = 2)."""
+    """Exponents of one family's convergence theorem: the norm-growth
+    exponent gamma(p), the critical pair (p_0, p'_0), and the eigenvalue
+    growth exponent (chi_n >= C n^epsilon with epsilon = 2).
+
+    GPSWF (weighted family), with p_0 = 2 - 1/(alpha + 3/2):
+
+        gamma(p) = alpha + 1                        p = 1
+                   0                                1 < p < p'_0
+                   eps_choice                       p = p'_0
+                   2(alpha + 1)(1/2 - 1/p) - 1/2    p > p'_0
+
+    for 0 <= alpha < 3/2, or any alpha > -1/2 with allow_extended_range
+    (where the theorem gives sufficiency only).
+
+    CPSWF (circular family), with p_0 = 4/3 and so p'_0 = 4:
+
+        gamma(p) = 1                   p = 1
+                   1/p - 1/2           1 < p < 4
+                   eps_choice - 1/4    p = 4
+                   (1/3)(1/p - 1)      p > 4
+
+    eps_choice is the theorems' arbitrary positive epsilon on the critical
+    line.  Both tables are implemented verbatim from the stated theorems.
+    """
 
     family: Family
     alpha: float
@@ -274,6 +246,12 @@ class ExponentTable:
             raise ValueError("alpha must be finite and > -1/2")
         if not self.eps_choice > 0:
             raise ValueError("eps_choice must be positive")
+        if (self.family is Family.GPSWF and not self.allow_extended_range
+                and not 0.0 <= self.alpha < 1.5):
+            raise ValueError(
+                "alpha outside [0, 3/2); pass allow_extended_range=True to use the "
+                "sufficiency-only range alpha > -1/2"
+            )
 
     @property
     def epsilon(self) -> float:
@@ -290,10 +268,25 @@ class ExponentTable:
         return dual_exponent(self.p0)
 
     def gamma(self, p: float) -> float:
+        """gamma(p) from the family's table; p = inf is allowed."""
+        if not p >= 1:
+            raise ValueError("p must be >= 1")
+        inv_p = 0.0 if p == math.inf else 1.0 / p
         if self.family is Family.GPSWF:
-            return gamma_gpswf(self.alpha, p, eps_choice=self.eps_choice,
-                               allow_extended_range=self.allow_extended_range)
-        return gamma_cpswf(p, eps_choice=self.eps_choice)
+            if p == 1:
+                return self.alpha + 1.0
+            if _near(p, self.p0_dual):
+                return self.eps_choice
+            if p < self.p0_dual:
+                return 0.0
+            return 2.0 * (self.alpha + 1.0) * (0.5 - inv_p) - 0.5
+        if p == 1:
+            return 1.0
+        if _near(p, 4.0):
+            return self.eps_choice - 0.25
+        if p < 4.0:
+            return inv_p - 0.5
+        return (inv_p - 1.0) / 3.0
 
 
 class DeltaThreshold(NamedTuple):

@@ -20,14 +20,13 @@ from prolatesum.analysis import (
 )
 from prolatesum.prolate import Family, ProlateSpec, check_bounds, solve
 from prolatesum.riesz import (
+    ExponentTable,
     RieszConfig,
     bump,
     bump_zero_piece,
     dyadic_cutoff,
     dyadic_piece,
     dyadic_tail,
-    gamma_cpswf,
-    gamma_gpswf,
     riesz_weight,
 )
 from prolatesum.transforms import (
@@ -157,18 +156,18 @@ def test_criterion_05_dyadic_machinery(es_g01):
 def test_criterion_06_exponent_tables():
     tol = 4 * math.ulp(1.0)
     points = [
-        (gamma_gpswf(0.0, 10.0), 0.3),
-        (gamma_gpswf(0.0, 1.0), 1.0),
-        (gamma_gpswf(0.0, 2.0), 0.0),
-        (gamma_gpswf(0.0, 4.0, eps_choice=0.01), 0.01),
-        (gamma_gpswf(0.0, math.inf), 0.5),
-        (gamma_gpswf(0.5, 1.0), 1.5),
-        (gamma_gpswf(0.5, 2.0), 0.0),
-        (gamma_gpswf(1.0, 10.0), 2 * 2 * (0.5 - 0.1) - 0.5),
-        (gamma_cpswf(2.0), 0.0),
-        (gamma_cpswf(1.0), 1.0),
-        (gamma_cpswf(8.0), -7.0 / 24.0),
-        (gamma_cpswf(3.0), 1.0 / 3.0 - 0.5),
+        (ExponentTable(Family.GPSWF, 0.0).gamma(10.0), 0.3),
+        (ExponentTable(Family.GPSWF, 0.0).gamma(1.0), 1.0),
+        (ExponentTable(Family.GPSWF, 0.0).gamma(2.0), 0.0),
+        (ExponentTable(Family.GPSWF, 0.0, eps_choice=0.01).gamma(4.0), 0.01),
+        (ExponentTable(Family.GPSWF, 0.0).gamma(math.inf), 0.5),
+        (ExponentTable(Family.GPSWF, 0.5).gamma(1.0), 1.5),
+        (ExponentTable(Family.GPSWF, 0.5).gamma(2.0), 0.0),
+        (ExponentTable(Family.GPSWF, 1.0).gamma(10.0), 2 * 2 * (0.5 - 0.1) - 0.5),
+        (ExponentTable(Family.CPSWF, 0.5).gamma(2.0), 0.0),
+        (ExponentTable(Family.CPSWF, 0.5).gamma(1.0), 1.0),
+        (ExponentTable(Family.CPSWF, 0.5).gamma(8.0), -7.0 / 24.0),
+        (ExponentTable(Family.CPSWF, 0.5).gamma(3.0), 1.0 / 3.0 - 0.5),
     ]
     worst = max(abs(got - want) for got, want in points)
     report(6, worst <= tol,

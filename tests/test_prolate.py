@@ -61,13 +61,14 @@ class TestSpecValidation:
 
 class TestGalerkinMatrix:
     def test_gpswf_c0_is_diagonal(self):
-        blocks = build_galerkin(ProlateSpec(family="gpswf", alpha=0.0, c=0.0, N=16))
+        even, odd = build_galerkin(ProlateSpec(family="gpswf", alpha=0.0, c=0.0, N=16))
+        assert (even.rows, odd.rows) == (slice(0, None, 2), slice(1, None, 2))
         k = np.arange(16)
         diag = np.empty(16)
-        diag[0::2], diag[1::2] = blocks.even[0], blocks.odd[0]
+        diag[even.rows], diag[odd.rows] = even.diag, odd.diag
         assert diag == pytest.approx(k * (k + 1), abs=1e-14)
-        assert np.max(np.abs(blocks.even[1])) == 0
-        assert np.max(np.abs(blocks.odd[1])) == 0
+        assert np.max(np.abs(even.off)) == 0
+        assert np.max(np.abs(odd.off)) == 0
 
     @pytest.mark.parametrize("family,alpha", [("gpswf", 0.7), ("cpswf", 1.5)])
     def test_free_spectrum_is_the_c0_diagonal_and_the_lower_bounds(self, family, alpha):
@@ -76,53 +77,50 @@ class TestGalerkinMatrix:
             expected = k * (k + 2 * alpha + 1)
         else:
             expected = (2 * k + alpha + 0.5) * (2 * k + alpha + 1.5)
-        blocks = build_galerkin(ProlateSpec(family=family, alpha=alpha, c=0.0, N=24))
         diag = np.empty(24)
-        if family == "gpswf":
-            diag[0::2], diag[1::2] = blocks.even[0], blocks.odd[0]
-        else:
-            diag = blocks.even[0]
+        for b in build_galerkin(ProlateSpec(family=family, alpha=alpha, c=0.0, N=24)):
+            diag[b.rows] = b.diag
         assert np.array_equal(diag, expected)
         es = solve(ProlateSpec(family=family, alpha=alpha, c=3.0, N=24))
         assert np.array_equal(es.lower_bounds(), expected[:12])
         assert np.array_equal(es.upper_bounds(), expected[:12] + 9.0)
 
     def test_gpswf_entry_00(self):
-        blocks = build_galerkin(ProlateSpec(family="gpswf", alpha=0.0, c=1.0, N=16))
-        assert blocks.even[0][0] == pytest.approx(1.0 / 3.0, abs=1e-15)
+        even, _ = build_galerkin(ProlateSpec(family="gpswf", alpha=0.0, c=1.0, N=16))
+        assert even.diag[0] == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_gpswf_entry_02_against_quadrature_oracle(self):
         # recurrence-coefficient formula vs direct 64-point integration
         alpha, c = 0.0, 1.0
-        blocks = build_galerkin(ProlateSpec(family="gpswf", alpha=alpha, c=c, N=16))
+        even, _ = build_galerkin(ProlateSpec(family="gpswf", alpha=alpha, c=c, N=16))
         rule = gauss_jacobi(64, alpha, alpha)
         j0, _, j2 = jacobi_orthonormal_table(3, alpha, alpha, rule.nodes)
         oracle = np.sum(rule.weights * rule.nodes**2 * j0 * j2)
-        assert blocks.even[1][0] == pytest.approx(c * c * oracle, abs=1e-12)
+        assert even.off[0] == pytest.approx(c * c * oracle, abs=1e-12)
 
     def test_gpswf_diagonal_entries_against_quadrature_oracle(self):
         alpha, c = 0.6, 2.0
-        blocks = build_galerkin(ProlateSpec(family="gpswf", alpha=alpha, c=c, N=12))
+        even, odd = build_galerkin(ProlateSpec(family="gpswf", alpha=alpha, c=c, N=12))
         rule = gauss_jacobi(64, alpha, alpha)
         for k in (0, 1, 2, 5):
             jk = jacobi_orthonormal_table(k + 1, alpha, alpha, rule.nodes)[k]
             oracle = k * (k + 2 * alpha + 1) + c * c * np.sum(rule.weights * rule.nodes**2 * jk * jk)
-            got = blocks.even[0][k // 2] if k % 2 == 0 else blocks.odd[0][k // 2]
+            got = even.diag[k // 2] if k % 2 == 0 else odd.diag[k // 2]
             assert got == pytest.approx(oracle, rel=1e-13), k
 
     def test_cpswf_c0_is_diagonal(self):
-        blocks = build_galerkin(ProlateSpec(family="cpswf", alpha=1.0, c=0.0, N=12))
+        (block,) = build_galerkin(ProlateSpec(family="cpswf", alpha=1.0, c=0.0, N=12))
+        assert block.rows == slice(None)
         k = np.arange(12)
-        assert blocks.even[0] == pytest.approx((2 * k + 1.5) * (2 * k + 2.5), abs=1e-12)
-        assert np.max(np.abs(blocks.even[1])) == 0
-        assert blocks.odd[0].size == 0
+        assert block.diag == pytest.approx((2 * k + 1.5) * (2 * k + 2.5), abs=1e-12)
+        assert np.max(np.abs(block.off)) == 0
 
     def test_cpswf_couplings_against_quadrature_oracle(self):
         # <x^2 T~_k, T~_j> on (0,1): integrate in x with the (alpha, 0) Jacobi
         # rule in u = 1-2x^2 and the substitution weights W/(4x(1-u)^alpha),
         # which is exact for integrands of the form x^(2a+1) * poly(x^2)
         alpha, c, N = 1.0, 3.0, 10
-        blocks = build_galerkin(ProlateSpec(family="cpswf", alpha=alpha, c=c, N=N))
+        (block,) = build_galerkin(ProlateSpec(family="cpswf", alpha=alpha, c=c, N=N))
         rule_u = gauss_jacobi(64, alpha, 0.0)
         x = np.sqrt((1 - rule_u.nodes) / 2)
         w = rule_u.weights / (4 * x * (1 - rule_u.nodes) ** alpha)
@@ -136,9 +134,9 @@ class TestGalerkinMatrix:
         for k in (0, 1, 4):
             d_oracle = (2 * k + alpha + 0.5) * (2 * k + alpha + 1.5) + c * c * np.sum(
                 w * x**2 * T(k, x) ** 2)
-            assert blocks.even[0][k] == pytest.approx(d_oracle, rel=1e-13)
+            assert block.diag[k] == pytest.approx(d_oracle, rel=1e-13)
             o_oracle = c * c * np.sum(w * x**2 * T(k, x) * T(k + 1, x))
-            assert blocks.even[1][k] == pytest.approx(o_oracle, abs=1e-12)
+            assert block.off[k] == pytest.approx(o_oracle, abs=1e-12)
 
 
 class TestSolve:
@@ -195,17 +193,12 @@ class TestSolve:
 def full_width_solve(spec):
     """Reference solve: every block column scattered into one (N, N) array,
     permuted by the merged spectrum, then cut to the retained m."""
-    N, blocks = spec.N, build_galerkin(spec)
+    N = spec.N
     chi_parts, col_parts, parity_parts = [], [], []
-    for offset, (diag, off) in ((0, blocks.even), (1, blocks.odd)):
-        if diag.size == 0:
-            continue
+    for offset, (rows, diag, off) in enumerate(build_galerkin(spec)):
         w, v = symtridiag_eigen(diag, off)
         cols = np.zeros((N, w.size))
-        if spec.family is Family.GPSWF:
-            cols[offset::2] = v
-        else:
-            cols[:, :] = v
+        cols[rows] = v
         chi_parts.append(w)
         col_parts.append(cols)
         parity_parts.append(np.full(w.size, offset))

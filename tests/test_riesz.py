@@ -19,8 +19,6 @@ from prolatesum.riesz import (
     dyadic_piece,
     dyadic_tail,
     expansion_coeffs,
-    gamma_cpswf,
-    gamma_gpswf,
     riesz_kernel,
     riesz_kernel_table,
     riesz_mean,
@@ -314,15 +312,15 @@ class TestRieszKernel:
 
 class TestGammaTables:
     def test_gpswf_table_values_alpha0(self):
-        assert abs(gamma_gpswf(0.0, 10.0) - 0.3) <= ulps(0.3)
-        assert gamma_gpswf(0.0, 1.0) == 1.0
-        assert gamma_gpswf(0.0, 2.0) == 0.0
+        assert abs(ExponentTable(Family.GPSWF, 0.0).gamma(10.0) - 0.3) <= ulps(0.3)
+        assert ExponentTable(Family.GPSWF, 0.0).gamma(1.0) == 1.0
+        assert ExponentTable(Family.GPSWF, 0.0).gamma(2.0) == 0.0
 
     def test_gpswf_branches(self):
         # p'_0 = 4 at alpha = 0; epsilon branch exactly on the critical line
-        assert gamma_gpswf(0.0, 4.0, eps_choice=0.02) == 0.02
-        assert gamma_gpswf(0.0, 3.999) == 0.0
-        assert gamma_gpswf(0.0, math.inf) == pytest.approx(0.5)
+        assert ExponentTable(Family.GPSWF, 0.0, eps_choice=0.02).gamma(4.0) == 0.02
+        assert ExponentTable(Family.GPSWF, 0.0).gamma(3.999) == 0.0
+        assert ExponentTable(Family.GPSWF, 0.0).gamma(math.inf) == pytest.approx(0.5)
 
     def test_gpswf_third_branch_continuity_alpha0(self):
         # 2(alpha+1)(1/2 - 1/p'_0) - 1/2 vanishes at alpha = 0, p'_0 = 4
@@ -331,28 +329,29 @@ class TestGammaTables:
 
     def test_gpswf_range_guard(self):
         with pytest.raises(ValueError):
-            gamma_gpswf(1.6, 2.0)
+            ExponentTable(Family.GPSWF, 1.6).gamma(2.0)
         with pytest.raises(ValueError):
-            gamma_gpswf(-0.2, 2.0)
-        assert gamma_gpswf(-0.2, 2.0, allow_extended_range=True) == 0.0
+            ExponentTable(Family.GPSWF, -0.2).gamma(2.0)
+        assert ExponentTable(Family.GPSWF, -0.2, allow_extended_range=True).gamma(2.0) == 0.0
         with pytest.raises(ValueError):
-            gamma_gpswf(-0.7, 2.0, allow_extended_range=True)
+            ExponentTable(Family.GPSWF, -0.7, allow_extended_range=True).gamma(2.0)
 
     def test_cpswf_table_values(self):
-        assert gamma_cpswf(2.0) == 0.0
-        assert gamma_cpswf(1.0) == 1.0
-        assert abs(gamma_cpswf(8.0) - (-7.0 / 24.0)) <= ulps(7 / 24)
+        assert ExponentTable(Family.CPSWF, 0.5).gamma(2.0) == 0.0
+        assert ExponentTable(Family.CPSWF, 0.5).gamma(1.0) == 1.0
+        assert abs(ExponentTable(Family.CPSWF, 0.5).gamma(8.0) - (-7.0 / 24.0)) <= ulps(7 / 24)
 
     def test_cpswf_branches(self):
-        assert gamma_cpswf(4.0, eps_choice=0.05) == pytest.approx(0.05 - 0.25)
-        assert gamma_cpswf(3.0) == pytest.approx(1 / 3 - 1 / 2)
-        assert gamma_cpswf(math.inf) == pytest.approx(-1 / 3)
+        table = ExponentTable(Family.CPSWF, 0.5, eps_choice=0.05)
+        assert table.gamma(4.0) == pytest.approx(0.05 - 0.25)
+        assert ExponentTable(Family.CPSWF, 0.5).gamma(3.0) == pytest.approx(1 / 3 - 1 / 2)
+        assert ExponentTable(Family.CPSWF, 0.5).gamma(math.inf) == pytest.approx(-1 / 3)
 
     def test_p_below_one_rejected(self):
         with pytest.raises(ValueError):
-            gamma_gpswf(0.0, 0.9)
+            ExponentTable(Family.GPSWF, 0.0).gamma(0.9)
         with pytest.raises(ValueError):
-            gamma_cpswf(0.5)
+            ExponentTable(Family.CPSWF, 0.5).gamma(0.5)
 
 
 class TestDeltaThreshold:
@@ -398,13 +397,124 @@ def test_dual_exponent():
     assert dual_exponent(4.0) == pytest.approx(4.0 / 3.0)
 
 
+# Reference copy of the two exponent tables as separate functions, with their
+# own argument checks; ExponentTable must reproduce them bit for bit.
+def _ref_gamma_gpswf(alpha, p, eps_choice=0.01, allow_extended_range=False):
+    if not p >= 1:
+        raise ValueError("p must be >= 1")
+    if not eps_choice > 0:
+        raise ValueError("eps_choice must be positive")
+    if not allow_extended_range and not 0.0 <= alpha < 1.5:
+        raise ValueError(
+            "alpha outside [0, 3/2); pass allow_extended_range=True to use the "
+            "sufficiency-only range alpha > -1/2"
+        )
+    if alpha <= -0.5:
+        raise ValueError("alpha must be > -1/2")
+    p0 = 2.0 - 1.0 / (alpha + 1.5)
+    p0_dual = dual_exponent(p0)
+    if p == 1:
+        return alpha + 1.0
+    if math.isclose(p, p0_dual, rel_tol=1e-12):
+        return eps_choice
+    if p < p0_dual:
+        return 0.0
+    inv_p = 0.0 if p == math.inf else 1.0 / p
+    return 2.0 * (alpha + 1.0) * (0.5 - inv_p) - 0.5
+
+
+def _ref_gamma_cpswf(p, eps_choice=0.01):
+    if not p >= 1:
+        raise ValueError("p must be >= 1")
+    if not eps_choice > 0:
+        raise ValueError("eps_choice must be positive")
+    if p == 1:
+        return 1.0
+    if math.isclose(p, 4.0, rel_tol=1e-12):
+        return eps_choice - 0.25
+    inv_p = 0.0 if p == math.inf else 1.0 / p
+    if p < 4.0:
+        return inv_p - 0.5
+    return (inv_p - 1.0) / 3.0
+
+
+def _ref_summary(family, alpha, eps, ext, p):
+    """(gamma(p), delta threshold at p, p_0, p'_0) of the reference tables."""
+    if not np.isfinite(alpha) or alpha <= -0.5:
+        raise ValueError("alpha must be finite and > -1/2")
+    if not eps > 0:
+        raise ValueError("eps_choice must be positive")
+
+    def gamma(q):
+        if family is Family.GPSWF:
+            return _ref_gamma_gpswf(alpha, q, eps_choice=eps, allow_extended_range=ext)
+        return _ref_gamma_cpswf(q, eps_choice=eps)
+
+    p0 = 2.0 - 1.0 / (alpha + 1.5) if family is Family.GPSWF else 4.0 / 3.0
+    p0_dual = dual_exponent(p0)
+    if not p >= 1:
+        raise ValueError("p must be >= 1")
+    p_dual = dual_exponent(p)
+    crit = (family is Family.GPSWF and p_dual != math.inf
+            and math.isclose(p_dual, p0_dual, rel_tol=1e-12))
+    threshold = max(gamma(p_dual) / 2.0, 0.0)
+    return gamma(p), threshold, crit, p0, p0_dual
+
+
+def _summary(family, alpha, eps, ext, p):
+    table = ExponentTable(family, alpha, eps_choice=eps, allow_extended_range=ext)
+    thr = delta_threshold(table, p)
+    return table.gamma(p), thr.value, thr.critical, table.p0, table.p0_dual
+
+
+def _outcome(fn, *args):
+    # floats by their bits (0.0 and -0.0 differ), errors by type and message
+    try:
+        return tuple(v if isinstance(v, bool) else float(v).hex() for v in fn(*args))
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+_P_SPECIAL = (1.0, 4.0 / 3.0, 2.0, 4.0, math.inf, 0.9, 0.0, -2.0, -1e300, float("nan"),
+              "p0", "p0_dual")
+
+
+class TestExponentTableMatchesReference:
+    @settings(max_examples=500, deadline=None)
+    @given(family=st.sampled_from([Family.GPSWF, Family.CPSWF]),
+           alpha=st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.4999, 1.5, 1.6, -0.2, -0.49, -0.5,
+                                            -0.7, 3.0, float("nan"), math.inf]),
+                           st.floats(-0.6, 4.0)),
+           eps=st.one_of(st.sampled_from([0.01, 0.02, 1e-12, 0.0, -1.0, float("nan")]),
+                         st.floats(1e-6, 2.0)),
+           ext=st.booleans(),
+           p=st.one_of(st.sampled_from(_P_SPECIAL), st.floats(1.0, 1e4), st.floats(0.5, 8.0)))
+    def test_gamma_threshold_p0_and_errors_bit_identical(self, family, alpha, eps, ext, p):
+        if isinstance(p, str):
+            # p = p'_0 is gamma's critical line; p = p_0 is delta_threshold's
+            p0 = 2.0 - 1.0 / (alpha + 1.5) if family is Family.GPSWF else 4.0 / 3.0
+            p = p0 if p == "p0" else dual_exponent(p0)
+        ref = _outcome(_ref_summary, family, alpha, eps, ext, p)
+        new = _outcome(_summary, family, alpha, eps, ext, p)
+        out_of_range = (family is Family.GPSWF and not ext and np.isfinite(alpha)
+                        and -0.5 < alpha and not 0.0 <= alpha < 1.5 and eps > 0)
+        if out_of_range and not p >= 1:
+            # both arguments are invalid: the table now rejects alpha when it
+            # is built, before it sees p, so it names alpha
+            assert ref == ("ValueError", "p must be >= 1")
+            assert new[0] == "ValueError" and new[1].startswith("alpha outside [0, 3/2)")
+        else:
+            assert new == ref
+
+
 class TestNanArguments:
     def test_nan_p_and_eps_choice_rejected(self):
         nan = float("nan")
         table = ExponentTable(Family.GPSWF, 0.0)
-        for call in (lambda: gamma_gpswf(0.0, nan), lambda: gamma_cpswf(nan),
-                     lambda: gamma_gpswf(0.0, 4.0, eps_choice=nan),
-                     lambda: gamma_cpswf(4.0, eps_choice=nan),
+        for call in (lambda: ExponentTable(Family.GPSWF, 0.0).gamma(nan),
+                     lambda: ExponentTable(Family.CPSWF, 0.5).gamma(nan),
+                     lambda: ExponentTable(Family.GPSWF, 0.0, eps_choice=nan).gamma(4.0),
+                     lambda: ExponentTable(Family.CPSWF, 0.5, eps_choice=nan).gamma(4.0),
                      lambda: delta_threshold(table, nan),
                      lambda: ExponentTable(Family.CPSWF, 0.5, eps_choice=nan)):
             with pytest.raises(ValueError):
