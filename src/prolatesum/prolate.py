@@ -153,6 +153,10 @@ def build_galerkin(spec: ProlateSpec) -> tuple[GalerkinBlock, ...]:
     return (GalerkinBlock(slice(None), diag, off),)
 
 
+# largest |sum_j w_j phi_n(y_j)^2 - 1| a rule may leave on the retained modes
+RULE_NORM_TOL = 1e-8
+
+
 @dataclass
 class EigenSystem:
     """Retained eigenpairs of one prolate family.
@@ -200,10 +204,23 @@ class EigenSystem:
 
     def rule_modes(self, rule: QuadratureRule) -> np.ndarray:
         """The mode table mode_matrix(rule.nodes) that every projection and
-        synthesis on rule reads: evaluated once per rule object, read-only."""
+        synthesis on rule reads: evaluated once per rule object, read-only.
+
+        Raises NumericsError when the rule cannot resolve the retained modes:
+        the quadrature norm sum_j w_j phi_n(y_j)^2 of one of the top min(8, m)
+        modes is off from 1 by more than RULE_NORM_TOL.
+        """
         if id(rule) not in self._tables:
             table = self.mode_matrix(rule.nodes)
             table.flags.writeable = False
+            top = table[-min(8, self.n_retained):]
+            gap = float(np.max(np.abs(top**2 @ rule.weights - 1.0)))
+            if not gap <= RULE_NORM_TOL:
+                raise NumericsError(
+                    f"a {rule.size}-node rule does not resolve the {self.n_retained} "
+                    f"retained modes: their quadrature norms are off by {gap:.3g} "
+                    f"(tolerance {RULE_NORM_TOL:g}); use more nodes or a smaller N"
+                )
             self._tables[id(rule)] = (rule, table)
         return self._tables[id(rule)][1]
 

@@ -301,7 +301,7 @@ def delta_threshold(table: ExponentTable, p: float) -> DeltaThreshold:
     (equivalently p' = p'_0), where the threshold involves the arbitrary
     eps_choice; the circular family's theorem excludes no exponent.
     """
-    if not p >= 1:
+    if not p >= 1:  # gamma(p') alone would pass p = -1e300, whose p' rounds to 1
         raise ValueError("p must be >= 1")
     p_dual = dual_exponent(p)
     crit = (table.family is Family.GPSWF and p_dual != math.inf

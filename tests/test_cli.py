@@ -94,6 +94,55 @@ class TestVerify:
         assert len(loads(checks.removeprefix("# checks: "))) == 14
 
 
+class TestTruncationRefinement:
+    """The check compares chi_n of the N and 2N solves relative to max(1, chi_n)."""
+
+    @staticmethod
+    def _check(path):
+        checks = json.loads(path.read_text())["checks"]
+        return next(c for c in checks if c["name"] == "truncation_refinement")
+
+    def test_rounding_drift_at_large_n_passes(self, tmp_path, capsys):
+        # the absolute drift is about 2.9e-10 here, from rounding alone
+        out = tmp_path / "v.json"
+        code, _, _ = run_cli(["verify", "--n", "1024", "--c", "20", "--quad-size", "1200",
+                              "--output", str(out)], capsys)
+        assert code == 0
+        check = self._check(out)
+        assert check["pass"] and check["value"] <= 1e-13
+
+    def test_unconverged_solve_fails(self, tmp_path, capsys):
+        out = tmp_path / "v.json"
+        code, _, _ = run_cli(["verify", "--c", "200", "--n", "64", "--output", str(out)], capsys)
+        assert code == 2
+        check = self._check(out)
+        assert not check["pass"] and check["value"] > 0.1
+
+
+class TestRuleResolution:
+    @pytest.mark.parametrize("args,nodes,modes", [
+        (["--n", "2048", "--c", "4", "--p", "2"], 512, 1024),
+        (["--family", "cpswf", "--alpha", "0.5", "--n", "256", "--quad-size", "64"], 64, 128),
+        # fewer modes than nodes, yet x^(2 alpha + 1) defeats the Gauss-Legendre rule
+        (["--family", "cpswf", "--alpha", "0.5", "--c", "4", "--n", "1024",
+          "--quad-size", "600"], 600, 512),
+    ])
+    def test_under_resolved_rule_exit_3(self, args, nodes, modes, tmp_path, capsys):
+        out = tmp_path / "sweep.json"
+        code, _, err = run_cli(["sweep", *args, "--output", str(out)], capsys)
+        assert code == 3
+        assert err.startswith("numerical failure:")
+        assert f"{nodes}-node rule" in err and f"{modes} retained modes" in err
+        assert not out.exists()
+
+    def test_resolved_rule_passes(self, tmp_path, capsys):
+        out = tmp_path / "sweep.json"
+        code, _, _ = run_cli(["sweep", "--n", "1024", "--c", "4", "--p", "2", "--quad-size", "520",
+                              "--output", str(out)], capsys)
+        assert code == 0
+        assert json.loads(out.read_text())["results"]["parseval_gap"] <= 1e-12
+
+
 class TestSweep:
     def test_sweep_report(self, tmp_path, capsys):
         out = tmp_path / "sweep.json"

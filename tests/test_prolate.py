@@ -433,3 +433,18 @@ class TestRuleModes:
         twin_table = es.rule_modes(twin)
         assert twin_table is not table
         np.testing.assert_array_equal(twin_table, table)
+
+    @pytest.mark.parametrize("family,alpha", [("gpswf", 0.0), ("cpswf", 0.5)])
+    def test_under_resolved_rule_rejected_and_not_cached(self, family, alpha):
+        es = solve(ProlateSpec(family=family, alpha=alpha, c=4.0, N=256))
+        rule = es.default_rule(64)
+        for _ in range(2):
+            with pytest.raises(NumericsError, match="64-node rule .* 128 retained modes"):
+                es.rule_modes(rule)
+        assert es._tables == {}
+
+    def test_norm_gap_is_measured_on_the_top_modes(self):
+        es = solve(ProlateSpec(family="gpswf", alpha=0.0, c=4.0, N=256))
+        rule = es.default_rule(512)
+        top = es.rule_modes(rule)[-8:]
+        assert np.max(np.abs(top**2 @ rule.weights - 1.0)) <= 1e-13

@@ -93,16 +93,17 @@ class TestBlocks:
         self._rows_equal(lambda f: rayleigh(finite_hankel(0.5, 5.0, f), f), block)
 
     def test_block_shapes(self, es_g5):
-        rule = es_g5.default_rule(64)
-        block = SampledFunction(rule=rule, values=np.ones((3, 64)))
-        assert finite_fourier(0.0, 5.0, block).values.shape == (3, 64)
+        # 128 nodes: a 64-node rule cannot resolve the 64 retained modes
+        rule = es_g5.default_rule(128)
+        block = SampledFunction(rule=rule, values=np.ones((3, 128)))
+        assert finite_fourier(0.0, 5.0, block).values.shape == (3, 128)
         assert expansion_coeffs(block, es_g5).shape == (3, es_g5.n_retained)
         assert rayleigh(block, block).shape == (3,)
 
 
 class TestSampleMode:
     def test_row_of_the_mode_table(self, es_g5):
-        rule = es_g5.default_rule(64)
+        rule = es_g5.default_rule(128)
         assert np.array_equal(sample_mode(es_g5, 3, rule=rule).values, es_g5.rule_modes(rule)[3])
 
     @pytest.mark.parametrize("n", [-1, 64])
