@@ -30,10 +30,7 @@ def _lp_norms(values: np.ndarray, weights: np.ndarray, p: float) -> np.ndarray:
     a = np.abs(values)
     if p == math.inf:
         return np.max(a, axis=-1)
-    sums = np.sum(weights * a**p, axis=-1)
-    # scalar pow per value, so a batched norm equals lp_norm bit for bit
-    # (numpy's array power rounds about 5% of roots differently)
-    return np.array([s ** (1.0 / p) for s in sums.ravel()]).reshape(sums.shape)
+    return np.sum(weights * a**p, axis=-1) ** (1.0 / p)
 
 
 def lp_norm(f: SampledFunction, p: float) -> float:
@@ -268,13 +265,12 @@ def boundary_probes(es: EigenSystem, rule: QuadratureRule, seed: int = 0) -> Sam
     modes = es.rule_modes(rule)
     kernel_cols = es.mode_matrix(hi - (hi - lo) * np.geomspace(1e-6, 0.25, 4))
     rng = np.random.default_rng(seed)
-    # a vector-matrix product per row: one GEMM would round differently
-    bumps = [col @ modes for col in kernel_cols.T]
-    randoms = [coef @ modes for coef in rng.standard_normal((4, es.n_retained))]
+    bumps = kernel_cols.T @ modes
+    randoms = rng.standard_normal((4, es.n_retained)) @ modes
     j = np.arange(1, 5)
     masses = np.zeros((4, rule.size))
     masses[j - 1, -j] = 1.0 / rule.weights[-j]
-    probes = np.vstack([*bumps, masses, *randoms])
+    probes = np.vstack([bumps, masses, randoms])
     scale = np.sqrt(np.sum(rule.weights * np.abs(probes) ** 2, axis=-1))
     return SampledFunction(rule=rule, values=probes / scale[:, None])
 

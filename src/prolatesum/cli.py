@@ -80,11 +80,8 @@ class RunConfig:
 
 
 def _spec(cfg: RunConfig) -> ProlateSpec:
-    try:
-        return ProlateSpec(family=Family(cfg.family), alpha=cfg.alpha, c=cfg.c,
-                           N=cfg.N, keep_fraction=cfg.keep_fraction)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return ProlateSpec(family=Family(cfg.family), alpha=cfg.alpha, c=cfg.c,
+                       N=cfg.N, keep_fraction=cfg.keep_fraction)
 
 
 def _fn_values(name: str, x: np.ndarray) -> np.ndarray:
@@ -235,8 +232,7 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
     violation = float(np.max(np.maximum(lo - es.chi, es.chi - hi)))
     checks.append(_check("eigenvalue_sandwich", violation, es.bounds_slack))
     in_bounds = check_bounds(es)
-    checks.append({"name": "eigenvalue_sandwich_all_true", "pass": bool(np.all(in_bounds)),
-                   "value": float(np.sum(in_bounds)), "tolerance": float(es.n_retained)})
+    checks.append(_check("eigenvalue_sandwich_all_true", np.sum(in_bounds), es.n_retained, larger_ok=True))
 
     modes = es.rule_modes(rule)
     gram = (modes * rule.weights) @ modes.T
@@ -249,8 +245,7 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
     checks.append(_check("truncation_refinement", float(np.max(drift)), 1e-10))
 
     if spec.family is Family.GPSWF:
-        wrong = [np.max(np.abs(es.coeffs[(1 - par) :: 2, j])) if es.coeffs[(1 - par)::2, j].size else 0.0
-                 for j, par in enumerate(es.parity)]
+        wrong = [np.max(np.abs(es.coeffs[(1 - par) :: 2, j])) for j, par in enumerate(es.parity)]
         checks.append(_check("parity_support", float(np.max(wrong)), 0.0))
 
     checks.append(_check("condition_b1_counting", analysis.calibrate_b1(es), 1.0))

@@ -31,9 +31,8 @@ class RieszConfig:
 
 def riesz_weight(chi, cfg: RieszConfig):
     """(1 - chi/R)^delta for chi < R, zero beyond; values in [0, 1]."""
-    chi_arr = np.asarray(chi, dtype=float)
-    t = 1.0 - chi_arr / cfg.R
-    out = np.where(t > 0, np.maximum(t, 0.0) ** cfg.delta, 0.0)
+    t = 1.0 - np.asarray(chi, dtype=float) / cfg.R
+    out = np.maximum(t, 0.0) ** cfg.delta
     return float(out) if np.ndim(chi) == 0 else out
 
 
@@ -54,8 +53,8 @@ def _smooth_step(u):
 def bump(t):
     """Smooth bump supported exactly on [1/2, 2] with bump(1) = 1.
 
-    Built so that bump(t) + bump(2t) = 1 holds bit-for-bit on [1/2, 1],
-    which makes sum_k bump(2^k t) = 1 exact for every t > 0.
+    Built so that bump(t) + bump(2t) = 1 holds exactly in floating point on
+    [1/2, 1], which makes sum_k bump(2^k t) = 1 exact for every t > 0.
     """
     t_arr = np.asarray(t, dtype=float)
     rising = (t_arr >= 0.5) & (t_arr <= 1.0)
@@ -69,20 +68,15 @@ def bump(t):
 def bump_zero(t):
     """phi_0(t) = 1 - sum_{k>=1} bump(2^k t) for t > 0 (0 for t <= 0).
 
-    Equals 1 for t >= 1 and vanishes for t <= 1/4.
+    The sum is 1 for t <= 1/2 and 0 for t >= 1, and on (1/2, 1) only its
+    k = 1 term is nonzero, so phi_0 is 0 for t <= 1/2, 1 - bump(2t) on
+    (1/2, 1) and 1 for t >= 1.
     """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.zeros_like(t_arr)
-    pos = t_arr > 0
-    if np.any(pos):
-        tp = t_arr[pos]
-        acc = np.ones_like(tp)
-        kmax = int(np.ceil(1.0 - np.log2(np.min(tp)))) if np.min(tp) < 2 else 0
-        with np.errstate(over="ignore"):
-            for k in range(1, max(kmax, 0) + 1):
-                acc = acc - bump(np.ldexp(tp, k))
-        out[pos] = acc
-    return float(out[0]) if np.ndim(t) == 0 else out
+    t_arr = np.asarray(t, dtype=float)
+    out = np.where(t_arr >= 1.0, 1.0, 0.0)
+    mid = (t_arr > 0.5) & (t_arr < 1.0)
+    out[mid] = 1.0 - bump(2.0 * t_arr[mid])
+    return float(out) if np.ndim(t) == 0 else out
 
 
 def dyadic_cutoff(cfg: RieszConfig) -> int:
@@ -102,32 +96,30 @@ def dyadic_piece(chi, cfg: RieszConfig, k: int):
     t = np.maximum(1.0 - chi_arr / cfg.R, 0.0)
     with np.errstate(over="ignore"):
         scaled = np.ldexp(t, min(k, 2100))  # overflow to inf lands outside the bump support
-    out = np.where(t > 0, t**cfg.delta * bump(scaled), 0.0)
+    out = t**cfg.delta * bump(scaled)
     return float(out) if np.ndim(chi) == 0 else out
 
 
 def bump_zero_piece(chi, cfg: RieszConfig):
     """Head of the decomposition: phi_0(1 - chi/R) (1 - chi/R)_+^delta."""
-    chi_arr = np.asarray(chi, dtype=float)
-    t = 1.0 - chi_arr / cfg.R
-    out = np.where(t > 0, np.maximum(t, 0.0) ** cfg.delta * bump_zero(np.maximum(t, 0.0)), 0.0)
+    t = np.maximum(1.0 - np.asarray(chi, dtype=float) / cfg.R, 0.0)
+    out = t**cfg.delta * bump_zero(t)
     return float(out) if np.ndim(chi) == 0 else out
 
 
 def dyadic_tail(chi, cfg: RieszConfig):
-    """Sum of the dyadic pieces beyond the cutoff k = floor(log2 R)."""
-    chi_arr = np.atleast_1d(np.asarray(chi, dtype=float))
+    """Sum of the dyadic pieces beyond the cutoff k = floor(log2 R).
+
+    Piece k vanishes unless 2^k t < 2 for t = 1 - chi/R, so the sum stops
+    at the smallest positive t.
+    """
+    chi_arr = np.asarray(chi, dtype=float)
     t = 1.0 - chi_arr / cfg.R
-    out = np.zeros_like(chi_arr)
-    pos = t > 0
-    if np.any(pos):
-        tmin = np.min(t[pos])
-        k_hi = int(np.ceil(1.0 - np.log2(tmin))) if tmin < 2 else 0
-        acc = np.zeros(int(np.sum(pos)))
-        for k in range(dyadic_cutoff(cfg) + 1, max(k_hi, dyadic_cutoff(cfg)) + 1):
-            acc = acc + dyadic_piece(chi_arr[pos], cfg, k)
-        out[pos] = acc
-    return float(out[0]) if np.ndim(chi) == 0 else out
+    k_hi = int(np.ceil(1.0 - np.log2(np.min(t, where=t > 0, initial=2.0))))
+    out = np.zeros_like(t)
+    for k in range(dyadic_cutoff(cfg) + 1, k_hi + 1):
+        out = out + dyadic_piece(chi_arr, cfg, k)
+    return float(out) if np.ndim(chi) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +140,9 @@ def riesz_means(values, rule: QuadratureRule, es: EigenSystem, R_grid,
 
     Returns shape (len(R_grid), P, Q).  expansion_coeffs projects every
     input, a_f = Phi (w * f) with Phi = es.rule_modes(rule) (m x Q), and one
-    batched product synthesises every (R, f) pair from the weight matrix W
-    (m x |R|).  Both are stacks of matrix-vector products, so each value is
-    rounded exactly as a one-radius, one-function synthesis (a single GEMM
-    reorders the sums and moves errors ~1e-5 by ~1e-12 relative).  No R may
-    exceed the certified spectral range: truncating the sum beyond the
-    retained modes would silently bias the result.
+    matrix product synthesises every (R, f) pair from the weight matrix W
+    (m x |R|).  No R may exceed the certified spectral range: truncating the
+    sum beyond the retained modes would silently bias the result.
     """
     f = SampledFunction(rule=rule, values=values)
     R_grid = np.asarray(R_grid, dtype=float)
@@ -164,8 +153,8 @@ def riesz_means(values, rule: QuadratureRule, es: EigenSystem, R_grid,
     W = np.stack([riesz_weight(es.chi, RieszConfig(R=R, delta=delta)) for R in R_grid], axis=1)
     es.check_radius(float(np.max(R_grid)))
     A = expansion_coeffs(f, es)  # (P, m)
-    scaled = W.T[:, None, :] * A[None, :, :]  # (|R|, P, m)
-    return (scaled[:, :, None, :] @ es.rule_modes(rule))[:, :, 0, :]
+    means = (W.T[:, None, :] * A).reshape(-1, es.n_retained) @ es.rule_modes(rule)
+    return means.reshape(R_grid.size, A.shape[0], rule.size)
 
 
 def riesz_mean(f: SampledFunction, es: EigenSystem, cfg: RieszConfig) -> SampledFunction:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from prolatesum import transforms
+from prolatesum.analysis import convergence_sweep
 from prolatesum.cli import RunConfig, _csv_text, _json_text, build_parser, config_from_args, main
 from prolatesum.prolate import EigenSystem, ProlateSpec, solve
 from prolatesum.riesz import RieszConfig, riesz_kernel_table
@@ -210,6 +211,26 @@ class TestSweep:
             assert out == ""
             assert "chi_0" in err and repr(float(chi0)) in err
 
+    @pytest.mark.parametrize("fn,values", [("sin", lambda x: np.sin(3.0 * x)),
+                                           ("runge", lambda x: 1.0 / (1.0 + 25.0 * x * x))])
+    def test_probe_function_errors(self, fn, values, tmp_path, capsys):
+        out = tmp_path / "sweep.json"
+        code, _, _ = run_cli(["sweep", "--n", "64", "--quad-size", "128", "--r-count", "4",
+                              "--fn", fn, "--output", str(out)], capsys)
+        assert code == 0
+        res = json.loads(out.read_text())["results"]
+        es = solve(ProlateSpec(family="gpswf", alpha=0.0, c=1.0, N=64))
+        rule = es.default_rule(128)
+        f = transforms.SampledFunction(rule=rule, values=values(rule.nodes))
+        report = convergence_sweep(f, es, 2.0, 1.0, res["R_grid"])
+        assert res["errors"] == report.errors.tolist()
+
+    def test_start_above_stop_exit_1(self, capsys):
+        code, out, err = run_cli(["sweep", "--n", "64", "--r-start", "50", "--r-stop", "40"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: need 0 < r_start < r_stop\n"
+
     def test_csv_format(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         code, _, _ = run_cli(["sweep", "--n", "64", "--r-count", "3", "--format", "csv",
@@ -269,9 +290,35 @@ class TestExponents:
         assert data["results"]["p0"] == pytest.approx(4 / 3)
 
 
+    @pytest.mark.parametrize("extra", [[], ["--family", "gpswf", "--alpha", "0",
+                                            "--p", "1.3333333333333333"]])
+    def test_csv_rows_equal_json_rows(self, extra, tmp_path, capsys):
+        args = ["exponents", "--family", "cpswf", "--p-count", "5", *extra]
+        assert main([*args, "--output", str(tmp_path / "exp.json")]) == 0
+        assert main([*args, "--format", "csv", "--output", str(tmp_path / "exp.csv")]) == 0
+        capsys.readouterr()
+        rows = json.loads((tmp_path / "exp.json").read_text())["results"]["rows"]
+        lines = (tmp_path / "exp.csv").read_text().splitlines()
+        keys = lines[1].split(",")
+        assert keys == ["p", "gamma_p", "p_dual", "gamma_p_dual", "delta_threshold", "critical"]
+        assert len(lines) == 2 + len(rows)
+        for line, row in zip(lines[2:], rows):
+            got = dict(zip(keys, line.split(",")))
+            assert got.pop("critical") == str(int(row.pop("critical")))
+            assert {k: float(v) for k, v in got.items()} == row
+
+
 class TestErrors:
     def test_usage_error_exit_1(self, capsys):
         assert main(["sweep", "--n", "not-a-number"]) == 1
+
+    @pytest.mark.parametrize("args,message", [(["--quad-size", "4"], "quadrature size must be >= 8"),
+                                              (["--r-count", "1"], "R grid needs at least 2 points")])
+    def test_invalid_option_value_usage_error(self, args, message, capsys):
+        code, out, err = run_cli(["sweep", *args], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"usage error: {message}\n"
 
     def test_unknown_command_exit_1(self, capsys):
         assert main(["frobnicate"]) == 1

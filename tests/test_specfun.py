@@ -131,6 +131,16 @@ class TestBesselJ:
             for x in (1e3, 1e5, 1e6):
                 assert bessel_j(order, x) == pytest.approx(jv(order, x), abs=1e-11)
 
+    def test_miller_rescaling_against_mpmath(self):
+        # order 400 at x in (200, 400) is Miller's regime, and there the
+        # downward recurrence passes 1e250 and is rescaled (at m = 426 and 380)
+        import mpmath as mp
+
+        x = np.array([201.0, 230.0, 300.0])
+        with mp.workdps(40):
+            ref = np.array([float(mp.besselj(400, mp.mpf(v))) for v in x])
+        assert np.max(np.abs(bessel_j(400, x) / ref - 1.0)) <= 1e-14
+
     def test_rejections(self):
         with pytest.raises(ValueError):
             bessel_j(0, -1.0)
