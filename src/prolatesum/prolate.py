@@ -170,7 +170,6 @@ class EigenSystem:
     chi: np.ndarray
     coeffs: np.ndarray
     parity: np.ndarray | None = field(default=None)
-    # id(rule) -> (rule, mode table); holding the rule keeps its id unique
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -196,10 +195,12 @@ class EigenSystem:
         """Floating-point slack of the eigenvalue sandwich check."""
         return 1e-8 * (1.0 + self.spec.c**2)
 
-    def default_rule(self, size: int = 512) -> QuadratureRule:
+    def default_rule(self, size: int | None = None) -> QuadratureRule:
         """The family quadrature: Gauss-Jacobi for the GPSWF weight on
-        (-1, 1), Gauss-Legendre mapped to (0, 1) for CPSWF.  Built once per
-        process and shared."""
+        (-1, 1), Gauss-Legendre mapped to (0, 1) for CPSWF, of max(512, N)
+        nodes unless size is given.  Built once per process and shared."""
+        if size is None:
+            size = max(512, self.spec.N)
         return _family_rule(family_grid(self.spec.family, self.spec.alpha), size)
 
     def rule_modes(self, rule: QuadratureRule) -> np.ndarray:
@@ -210,7 +211,7 @@ class EigenSystem:
         the quadrature norm sum_j w_j phi_n(y_j)^2 of one of the top min(8, m)
         modes is off from 1 by more than RULE_NORM_TOL.
         """
-        if id(rule) not in self._tables:
+        if rule not in self._tables:
             table = self.mode_matrix(rule.nodes)
             table.flags.writeable = False
             top = table[-min(8, self.n_retained):]
@@ -221,8 +222,8 @@ class EigenSystem:
                     f"retained modes: their quadrature norms are off by {gap:.3g} "
                     f"(tolerance {RULE_NORM_TOL:g}); use more nodes or a smaller N"
                 )
-            self._tables[id(rule)] = (rule, table)
-        return self._tables[id(rule)][1]
+            self._tables[rule] = table
+        return self._tables[rule]
 
     def _check_domain(self, x: np.ndarray):
         lo, hi = family_grid(self.spec.family, self.spec.alpha).interval

@@ -29,10 +29,14 @@ class RieszConfig:
             raise ValueError("delta must be finite and positive")
 
 
+def _gap(chi, cfg: RieszConfig) -> np.ndarray:
+    """t = (1 - chi/R)_+, the variable of the weight and of its dyadic pieces."""
+    return np.maximum(1.0 - np.asarray(chi, dtype=float) / cfg.R, 0.0)
+
+
 def riesz_weight(chi, cfg: RieszConfig):
     """(1 - chi/R)^delta for chi < R, zero beyond; values in [0, 1]."""
-    t = 1.0 - np.asarray(chi, dtype=float) / cfg.R
-    out = np.maximum(t, 0.0) ** cfg.delta
+    out = _gap(chi, cfg) ** cfg.delta
     return float(out) if np.ndim(chi) == 0 else out
 
 
@@ -66,22 +70,16 @@ def bump(t):
 
 
 def bump_zero(t):
-    """phi_0(t) = 1 - sum_{k>=1} bump(2^k t) for t > 0 (0 for t <= 0).
-
-    The sum is 1 for t <= 1/2 and 0 for t >= 1, and on (1/2, 1) only its
-    k = 1 term is nonzero, so phi_0 is 0 for t <= 1/2, 1 - bump(2t) on
-    (1/2, 1) and 1 for t >= 1.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    out = np.where(t_arr >= 1.0, 1.0, 0.0)
-    mid = (t_arr > 0.5) & (t_arr < 1.0)
-    out[mid] = 1.0 - bump(2.0 * t_arr[mid])
+    """phi_0(t) = 1 - sum_{k>=1} bump(2^k t) = S(2t - 1), S the smooth step:
+    0 for t <= 1/2, 1 for t >= 1, and 1 - bump(2t) between."""
+    out = _smooth_step(2.0 * np.asarray(t, dtype=float) - 1.0)
     return float(out) if np.ndim(t) == 0 else out
 
 
 def dyadic_cutoff(cfg: RieszConfig) -> int:
-    """Number of dyadic pieces kept in the decomposition: floor(log R / log 2)."""
-    return int(math.floor(math.log(cfg.R) / math.log(2.0)))
+    """Number K of dyadic pieces kept in the decomposition:
+    max(floor(log R / log 2), 0)."""
+    return max(int(math.floor(math.log(cfg.R) / math.log(2.0))), 0)
 
 
 def dyadic_piece(chi, cfg: RieszConfig, k: int):
@@ -92,8 +90,7 @@ def dyadic_piece(chi, cfg: RieszConfig, k: int):
     """
     if k < 1:
         raise ValueError("dyadic index k must be >= 1")
-    chi_arr = np.asarray(chi, dtype=float)
-    t = np.maximum(1.0 - chi_arr / cfg.R, 0.0)
+    t = _gap(chi, cfg)
     with np.errstate(over="ignore"):
         scaled = np.ldexp(t, min(k, 2100))  # overflow to inf lands outside the bump support
     out = t**cfg.delta * bump(scaled)
@@ -102,23 +99,17 @@ def dyadic_piece(chi, cfg: RieszConfig, k: int):
 
 def bump_zero_piece(chi, cfg: RieszConfig):
     """Head of the decomposition: phi_0(1 - chi/R) (1 - chi/R)_+^delta."""
-    t = np.maximum(1.0 - np.asarray(chi, dtype=float) / cfg.R, 0.0)
+    t = _gap(chi, cfg)
     out = t**cfg.delta * bump_zero(t)
     return float(out) if np.ndim(chi) == 0 else out
 
 
 def dyadic_tail(chi, cfg: RieszConfig):
-    """Sum of the dyadic pieces beyond the cutoff k = floor(log2 R).
-
-    Piece k vanishes unless 2^k t < 2 for t = 1 - chi/R, so the sum stops
-    at the smallest positive t.
-    """
-    chi_arr = np.asarray(chi, dtype=float)
-    t = 1.0 - chi_arr / cfg.R
-    k_hi = int(np.ceil(1.0 - np.log2(np.min(t, where=t > 0, initial=2.0))))
-    out = np.zeros_like(t)
-    for k in range(dyadic_cutoff(cfg) + 1, k_hi + 1):
-        out = out + dyadic_piece(chi_arr, cfg, k)
+    """Sum of the dyadic pieces k > K = dyadic_cutoff(cfg), in closed form:
+    sum_{k>K} bump(2^k t) = 1 - phi_0(2^K t) for t = (1 - chi/R)_+."""
+    t = _gap(chi, cfg)
+    with np.errstate(over="ignore"):  # K = 1024 only for R near the float max; phi_0(inf) = 1
+        out = t**cfg.delta * (1.0 - bump_zero(np.ldexp(t, dyadic_cutoff(cfg))))
     return float(out) if np.ndim(chi) == 0 else out
 
 

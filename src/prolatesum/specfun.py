@@ -22,7 +22,7 @@ class NumericsError(RuntimeError):
 # quadrature rules
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Nodes and weights exact for polynomials against a Jacobi weight.
 
@@ -99,7 +99,12 @@ def jacobi_orthonormal_table(nmax: int, a: float, b: float, x) -> np.ndarray:
 
 def gauss_jacobi(size: int, a: float, b: float) -> QuadratureRule:
     """Gauss-Jacobi rule by Golub-Welsch: nodes are eigenvalues of the
-    symmetric recurrence matrix, weights come from first eigenvector rows."""
+    symmetric recurrence matrix, weights come from first eigenvector rows.
+
+    MRRR returns each eigenvector on its support only, so a weight too small
+    to reach the first row comes back as exact 0; only those weights are
+    filled from the Christoffel function 1 / sum_k p_k(x_j)^2.
+    """
     if size < 1:
         raise ValueError("size must be >= 1")
     if size > 100_000:
@@ -107,6 +112,9 @@ def gauss_jacobi(size: int, a: float, b: float) -> QuadratureRule:
     alpha, beta = jacobi_recurrence(size, a, b)
     nodes, vecs = symtridiag_eigen(alpha, np.sqrt(beta[1:]))
     weights = beta[0] * vecs[0] ** 2
+    lost = weights == 0
+    if np.any(lost):
+        weights[lost] = 1.0 / np.sum(jacobi_orthonormal_table(size, a, b, nodes[lost]) ** 2, axis=0)
     if np.any(weights <= 0) or np.any(np.diff(nodes) <= 0):
         raise NumericsError("Golub-Welsch produced an invalid rule")
     if nodes[0] <= -1 or nodes[-1] >= 1:
@@ -196,8 +204,6 @@ def _bessel_asymptotic(order: float, x: np.ndarray) -> np.ndarray:
         term = term * (mu - (2 * k - 1) ** 2) / (k * 8.0 * x)
         mag = np.abs(term)
         active &= mag < prev_mag
-        if not np.any(active):
-            break
         contrib = np.where(active, term, 0.0)
         if k % 2 == 1:
             q = q + ((-1.0) ** ((k - 1) // 2)) * contrib

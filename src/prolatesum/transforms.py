@@ -39,14 +39,13 @@ class SampledFunction:
         return (A @ (self.rule.weights * self.values)[..., None])[..., 0]
 
 
-def sample_mode(es: EigenSystem, n: int, rule: QuadratureRule | None = None,
-                size: int = 512) -> SampledFunction:
-    """Eigenfunction n sampled on the family quadrature grid: row n of the
-    rule's mode table."""
+def sample_mode(es: EigenSystem, n: int, rule: QuadratureRule | None = None) -> SampledFunction:
+    """Eigenfunction n sampled on rule (default es.default_rule()): row n of
+    the rule's mode table."""
     if not 0 <= n < es.n_retained:
         raise ValueError(f"mode {n} is not retained (have {es.n_retained})")
     if rule is None:
-        rule = es.default_rule(size)
+        rule = es.default_rule()
     return SampledFunction(rule=rule, values=es.rule_modes(rule)[n])
 
 

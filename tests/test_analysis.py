@@ -89,6 +89,14 @@ class TestNormGrowth:
         slope = norm_growth_fit(es, math.inf, (20, 60))
         assert slope <= 1.0 + 0.1
 
+    @pytest.mark.parametrize("family,alpha", [("gpswf", 0.5), ("cpswf", 0.7)])
+    def test_finite_p_at_n2048_uses_a_rule_of_n_nodes(self, family, alpha):
+        # a 512-node rule cannot resolve 1024 retained modes; the default
+        # rule has max(512, N) nodes
+        es = solve(ProlateSpec(family=family, alpha=alpha, c=4.0, N=2048))
+        assert np.isfinite(norm_growth_fit(es, 4.0, (20, 100)))
+        assert es.default_rule().size == 2048
+
     def test_range_validation(self, es):
         with pytest.raises(ValueError):
             norm_growth_fit(es, 2.0, (5, 10))
@@ -280,6 +288,12 @@ class TestOperatorNormProbe:
         with pytest.raises(ValueError):
             operator_norm_probe(es, 2.0, 1.0, [10.0], empty)
 
+    def test_zero_probe_rejected(self, es, rule):
+        values = np.ones((2, rule.size))
+        values[1] = 0.0
+        with pytest.raises(ValueError, match="nonzero"):
+            operator_norm_probe(es, 2.0, 1.0, [10.0], SampledFunction(rule=rule, values=values))
+
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 4.0, math.inf])
     def test_equals_per_radius_probe_loop(self, es, rule, p):
@@ -350,6 +364,8 @@ class TestJacobiApproxResidual:
         esc = solve(ProlateSpec(family=Family.CPSWF, alpha=0.5, c=1.0, N=32))
         with pytest.raises(ValueError):
             jacobi_approx_residual(esc, 0)
+        with pytest.raises(ValueError, match="not retained"):
+            jacobi_approx_residual(es, es.n_retained)
         with pytest.warns(UserWarning):
             es_wide = solve(ProlateSpec(family=Family.GPSWF, alpha=1.8, c=1.0, N=32))
         with pytest.raises(ValueError):

@@ -9,7 +9,17 @@ from hypothesis.extra import numpy as hnp
 
 from prolatesum import transforms
 from prolatesum.analysis import convergence_sweep
-from prolatesum.cli import RunConfig, _csv_text, _json_text, build_parser, config_from_args, main
+from prolatesum.cli import (
+    EXIT_USAGE,
+    RunConfig,
+    UsageError,
+    _csv_text,
+    _json_text,
+    build_parser,
+    config_from_args,
+    main,
+    run,
+)
 from prolatesum.prolate import EigenSystem, ProlateSpec, solve
 from prolatesum.riesz import RieszConfig, riesz_kernel_table
 
@@ -135,6 +145,19 @@ class TestRuleResolution:
         assert err.startswith("numerical failure:")
         assert f"{nodes}-node rule" in err and f"{modes} retained modes" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    def test_large_alpha_rule_with_tiny_weights_passes(self, command, tmp_path, capsys):
+        # MRRR leaves this rule's smallest weights as exact zeros; they are
+        # filled from the Christoffel function instead of failing the rule
+        out = tmp_path / "a40.json"
+        with pytest.warns(UserWarning, match="outside the convergence-theorem range"):
+            code, _, _ = run_cli([command, "--family", "gpswf", "--alpha", "40", "--c", "4",
+                                  "--n", "64", "--quad-size", "128", "--output", str(out)], capsys)
+        assert code == 0
+        results = json.loads(out.read_text())["results"]
+        if command == "verify":
+            assert results["n_pass"] == results["n_checks"]
 
     def test_resolved_rule_passes(self, tmp_path, capsys):
         out = tmp_path / "sweep.json"
@@ -320,6 +343,16 @@ class TestErrors:
         assert out == ""
         assert err == f"usage error: {message}\n"
 
+    @pytest.mark.parametrize("field,value,message", [("family", "spheroid", "family must be"),
+                                                     ("fmt", "xml", "format must be")])
+    def test_validate_rejects_family_and_format(self, field, value, message):
+        with pytest.raises(UsageError, match=message):
+            RunConfig(command="basis", **{field: value}).validate()
+
+    def test_unknown_probe_function_exit_1(self, capsys):
+        assert run(RunConfig(command="sweep", N=32, quad_size=64, fn="x")) == EXIT_USAGE
+        assert "unknown probe function 'x'" in capsys.readouterr().err
+
     def test_unknown_command_exit_1(self, capsys):
         assert main(["frobnicate"]) == 1
 
@@ -401,7 +434,7 @@ class TestModeTable:
         sizes = []
         original = EigenSystem.default_rule
 
-        def recording(self, size=512):
+        def recording(self, size=None):
             sizes.append(size)
             return original(self, size)
 

@@ -47,6 +47,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ProlateSpec(family="gpswf", alpha=0.0, c=1.0, N=16, keep_fraction=1.5)
 
+    def test_rejects_keeping_no_mode(self):
+        with pytest.raises(ValueError, match="N \\* keep_fraction"):
+            ProlateSpec(family="gpswf", alpha=0.0, c=1.0, N=4, keep_fraction=0.2)
+
     def test_theorem_range_flag(self):
         assert ProlateSpec(family="gpswf", alpha=0.0, c=1.0, N=16).theorem_range_ok
         assert not ProlateSpec(family="gpswf", alpha=1.7, c=1.0, N=16).theorem_range_ok
@@ -374,6 +378,10 @@ class TestDefaultRule:
         with pytest.raises(ValueError, match="read-only"):
             first.weights[0] = 0.0
 
+    @pytest.mark.parametrize("N,size", [(16, 512), (512, 512), (600, 600)])
+    def test_size_follows_n_from_512(self, N, size):
+        assert gpswf(N=N).default_rule().size == size
+
     def test_families_with_equal_weight_get_their_own_rule(self):
         # gpswf at alpha 0 and cpswf share the Jacobi weight (0, 0) but not the interval
         g = gpswf(alpha=0.0, N=16).default_rule(32)
@@ -432,6 +440,7 @@ class TestRuleModes:
                           nodes=rule.nodes, weights=rule.weights)
         twin_table = es.rule_modes(twin)
         assert twin_table is not table
+        assert (twin == rule) is False and hash(twin) != hash(rule)
         np.testing.assert_array_equal(twin_table, table)
 
     @pytest.mark.parametrize("family,alpha", [("gpswf", 0.0), ("cpswf", 0.5)])

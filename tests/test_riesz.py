@@ -171,6 +171,57 @@ class TestDyadicPiece:
         assert dyadic_tail(0.0, cfg) == 0.0
 
 
+def _summed_tail(chi, cfg):
+    # the tail as a sum of pieces k = K+1, ..., up to the last piece that is
+    # nonzero at the smallest positive t: the reference for the closed form
+    t = 1.0 - np.asarray(chi, dtype=float) / cfg.R
+    k_hi = int(np.ceil(1.0 - np.log2(np.min(t, where=t > 0, initial=2.0))))
+    out = np.zeros_like(t)
+    for k in range(dyadic_cutoff(cfg) + 1, k_hi + 1):
+        out = out + dyadic_piece(chi, cfg, k)
+    return out
+
+
+class TestDyadicClosedForm:
+    @settings(max_examples=200, deadline=None)
+    @given(log_R=st.floats(-3.0, 9.0), delta=st.floats(0.1, 3.0),
+           fractions=st.lists(st.floats(0.0, 1.2), min_size=1, max_size=40))
+    def test_head_pieces_and_tail_sum_to_the_weight(self, log_R, delta, fractions):
+        cfg = RieszConfig(R=10.0**log_R, delta=delta)
+        chi = cfg.R * np.array(fractions)
+        total = bump_zero_piece(chi, cfg)
+        for k in range(1, dyadic_cutoff(cfg) + 1):
+            total = total + dyadic_piece(chi, cfg, k)
+        tail = dyadic_tail(chi, cfg)
+        assert np.max(np.abs(total + tail - riesz_weight(chi, cfg))) <= 1e-15
+        if cfg.R >= 1:
+            assert np.max(np.abs(tail - _summed_tail(chi, cfg))) <= 2.3e-16
+
+    def test_tail_below_radius_one(self):
+        cfg = RieszConfig(R=0.5, delta=1.0)
+        assert abs(dyadic_tail(0.1, cfg) - (0.8 - bump_zero_piece(0.1, cfg))) <= 1e-16
+
+    def test_cutoff_is_never_negative(self):
+        for R, K in [(1e-3, 0), (0.5, 0), (1.0, 0), (1.99, 0), (2.0, 1), (1000.0, 9), (1024.0, 10)]:
+            assert dyadic_cutoff(RieszConfig(R=R, delta=1.0)) == K
+
+    def test_head_matches_its_masked_form(self):
+        # phi_0 as 0, 1 - bump(2t) on (1/2, 1) and 1: bit for bit at the edges
+        # and their neighbouring floats, to rounding in between
+        def masked(t):
+            out = np.where(t >= 1.0, 1.0, 0.0)
+            mid = (t > 0.5) & (t < 1.0)
+            out[mid] = 1.0 - bump(2.0 * t[mid])
+            return out
+
+        edges = np.array([0.25, 0.5, 1.0, 2.0])
+        t = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 3.0),
+                            [-np.inf, -0.0, 0.0, 5e-324, np.inf]])
+        assert bump_zero(t).tobytes() == masked(t).tobytes()
+        t = np.random.default_rng(3).uniform(0.0, 1.5, 100_000)
+        assert np.max(np.abs(bump_zero(t) - masked(t))) <= 1.2e-16
+
+
 class TestExpansionAndMean:
     def test_single_mode_coefficients(self, es, rule):
         f = sample_mode(es, 0, rule=rule)

@@ -324,6 +324,24 @@ def test_mass_and_weight_sum_at_large_alpha_against_mpmath(a, b, rel):
     assert abs(math.fsum(gauss_jacobi(8, a, b).weights) - mass) <= 2.5 * rel * mass
 
 
+# MRRR returns the first eigenvector rows of these rules' tiniest weights as
+# exact 0; gauss_jacobi fills them from the Christoffel function
+LARGE_ALPHA_RULES = [(64, 40.0, 0.0), (64, 60.0, 0.0), (512, 20.0, 0.0), (512, 20.0, 20.0)]
+
+
+@pytest.mark.parametrize("size,a,b", LARGE_ALPHA_RULES)
+def test_even_moments_at_large_alpha_against_mpmath(size, a, b):
+    import mpmath as mp
+
+    rule = gauss_jacobi(size, a, b)
+    assert np.all(rule.weights > 0)
+    with mp.workdps(40):
+        for k in range(0, 21, 2):
+            exact = float(mp.quad(lambda x: x**k * (1 - x) ** a * (1 + x) ** b, [-1, 0, 1]))
+            got = math.fsum(rule.weights * rule.nodes**k)
+            assert abs(got - exact) <= 5e-14 * exact, k
+
+
 class TestRulesReadOnly:
     @pytest.mark.parametrize("build", [lambda: gauss_jacobi(9, 0.5, 0.5), lambda: gauss_legendre_01(9)])
     def test_rules_reject_writes(self, build):
@@ -401,6 +419,13 @@ class TestMRRRGate:
         table = jacobi_orthonormal_table(2048, a, b, rule.nodes)
         gram = (table * rule.weights) @ table.T
         assert np.max(np.abs(gram - np.eye(2048))) <= 1e-12
+
+    @pytest.mark.parametrize("size,a,b", LARGE_ALPHA_RULES)
+    def test_gram_error_at_large_alpha(self, size, a, b):
+        rule = gauss_jacobi(size, a, b)
+        table = jacobi_orthonormal_table(size, a, b, rule.nodes)
+        gram = (table * rule.weights) @ table.T
+        assert np.max(np.abs(gram - np.eye(size))) <= 1e-12
 
     def test_repeated_rules_are_bit_identical(self):
         first, second = gauss_jacobi(300, 0.5, 0.5), gauss_jacobi(300, 0.5, 0.5)

@@ -126,7 +126,7 @@ class TestFiniteFourier:
         assert np.max(np.abs(g.values[::-1] + g.values)) <= 1e-12 * np.max(np.abs(g.values))
 
     def test_eigen_residual(self, es_g5):
-        f = sample_mode(es_g5, 0, size=512)
+        f = sample_mode(es_g5, 0, rule=es_g5.default_rule(512))
         g = finite_fourier(0.0, 5.0, f)
         mu = rayleigh(g, f)
         w = f.rule.weights
@@ -225,6 +225,11 @@ class TestFiniteHankel:
         with pytest.raises(ValueError):
             finite_hankel(0.5, 0.0, f)
 
+    def test_rejects_order_below_minus_half(self):
+        f = SampledFunction(rule=gauss_legendre_01(8), values=np.ones(8))
+        with pytest.raises(ValueError, match="alpha must be >= -1/2"):
+            finite_hankel(-0.6, 1.0, f)
+
     def test_grid_mismatch(self):
         rule = gauss_jacobi(8, 0, 0)
         f = SampledFunction(rule=rule, values=np.ones(8))
@@ -268,6 +273,14 @@ class TestEstimateMu:
         mus = block_mu(es, 5)[2]
         for n in range(5):
             assert estimate_mu(es.spec.alpha, es.spec.c, es, n) == complex(mus[n])
+
+    @pytest.mark.parametrize("family,alpha", [("gpswf", 0.5), ("cpswf", 0.7)])
+    def test_one_mode_at_n2048_on_a_rule_of_n_nodes(self, family, alpha):
+        # the default rule has max(512, N) nodes: 512 cannot resolve 1024 modes
+        es = solve(ProlateSpec(family=family, alpha=alpha, c=4.0, N=2048))
+        mu = estimate_mu(alpha, 4.0, es, 0)
+        assert sample_mode(es, 0).rule.size == 2048
+        assert 0.0 < abs(mu) < 10.0
 
     def test_parameter_mismatch_rejected(self, es_g5):
         with pytest.raises(ValueError):
