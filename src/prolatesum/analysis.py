@@ -154,7 +154,7 @@ def jacobi_approx_residual(es: EigenSystem, n: int) -> JacobiApproxResult:
     coefficient of column n).  At c = 0 the residual is identically zero."""
     if es.spec.family is not Family.GPSWF:
         raise ValueError("the Jacobi approximation diagnostic applies to the weighted family")
-    if not 0.0 <= es.spec.alpha < 1.5:
+    if not es.spec.theorem_range_ok:
         raise ValueError("diagnostic valid for 0 <= alpha < 3/2")
     if not 0 <= n < es.n_retained:
         raise ValueError(f"mode {n} is not retained")
@@ -271,7 +271,7 @@ def boundary_probes(es: EigenSystem, rule: QuadratureRule, seed: int = 0) -> Sam
     masses = np.zeros((4, rule.size))
     masses[j - 1, -j] = 1.0 / rule.weights[-j]
     probes = np.vstack([bumps, masses, randoms])
-    scale = np.sqrt(np.sum(rule.weights * np.abs(probes) ** 2, axis=-1))
+    scale = _lp_norms(probes, rule.weights, 2.0)
     return SampledFunction(rule=rule, values=probes / scale[:, None])
 
 

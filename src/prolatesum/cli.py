@@ -12,7 +12,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+import warnings
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -27,7 +28,7 @@ EXIT_CHECK = 2
 EXIT_NUMERICS = 3
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -186,7 +187,10 @@ def _csv_text(header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(cfg: RunConfig, results, checks: list[dict]) -> None:
+def _emit(cfg: RunConfig, results, csv=None, checks=()) -> None:
+    """Write the run's artifact; the one place cfg.fmt is read.  CSV holds
+    the table csv = (header, rows), or results as one JSON line when there is
+    none; rows() is called only for CSV, so a JSON run never builds them."""
     if cfg.fmt == "json":
         chunks = []
         _json_chunks({"config": asdict(cfg), "results": results, "checks": checks}, "\n", chunks)
@@ -194,7 +198,7 @@ def _emit(cfg: RunConfig, results, checks: list[dict]) -> None:
     else:
         # each comment line and a results dict is one line of strict JSON
         chunks = ["# config: " + _json_line(asdict(cfg)) + "\n",
-                  results if isinstance(results, str) else _json_line(results) + "\n"]
+                  _csv_text(csv[0], csv[1]()) if csv else _json_line(results) + "\n"]
         if checks:
             chunks.append("# checks: " + _json_line(checks) + "\n")
     if cfg.output:
@@ -238,8 +242,10 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
     gram = (modes * rule.weights) @ modes.T
     checks.append(_check("orthonormality_gram", float(np.max(np.abs(gram - np.eye(es.n_retained)))), 1e-8))
 
-    es2 = solve(ProlateSpec(family=spec.family, alpha=spec.alpha, c=spec.c,
-                            N=2 * spec.N, keep_fraction=spec.keep_fraction / 2))
+    with warnings.catch_warnings():
+        # solve(spec) above has already warned for an alpha out of range
+        warnings.simplefilter("ignore", UserWarning)
+        es2 = solve(replace(spec, N=2 * spec.N, keep_fraction=spec.keep_fraction / 2))
     # relative to max(1, chi_n): at large N the drift is a few ulp of chi
     drift = np.abs(es.chi - es2.chi[: es.n_retained]) / np.maximum(1.0, es.chi)
     checks.append(_check("truncation_refinement", float(np.max(drift)), 1e-10))
@@ -301,7 +307,7 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
         g = transforms.family_transform(es, f)
         mu = transforms.rayleigh(g, f)
         kept = np.abs(mu) >= 1e-8
-        resid = np.sqrt(np.sum(rule.weights * np.abs(g.values - mu[:, None] * f.values) ** 2, axis=-1))
+        resid = analysis._lp_norms(g.values - mu[:, None] * f.values, rule.weights, 2.0)
         worst_resid = float(np.max(resid[kept] / np.abs(mu[kept]), initial=0.0))
         checks.append(_check("transform_eigenrelation_residual", worst_resid, 1e-4))
         if spec.family is Family.GPSWF:
@@ -319,18 +325,16 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
 
 def _cmd_basis(cfg: RunConfig) -> int:
     es = solve(_spec(cfg))
-    if cfg.fmt == "json":
-        _emit(cfg, es.to_dict(), [])
-    else:
-        rows = zip(range(es.n_retained), es.chi, es.lower_bounds(), es.upper_bounds())
-        _emit(cfg, _csv_text("n,chi,lower_bound,upper_bound", rows), [])
+    _emit(cfg, es.to_dict(),
+          csv=("n,chi,lower_bound,upper_bound",
+               lambda: zip(range(es.n_retained), es.chi, es.lower_bounds(), es.upper_bounds())))
     return EXIT_OK
 
 
 def _cmd_verify(cfg: RunConfig) -> int:
     checks = _verify_checks(cfg)
     n_pass = sum(1 for c in checks if c["pass"])
-    _emit(cfg, {"n_checks": len(checks), "n_pass": n_pass}, checks)
+    _emit(cfg, {"n_checks": len(checks), "n_pass": n_pass}, checks=checks)
     return EXIT_OK if n_pass == len(checks) else EXIT_CHECK
 
 
@@ -361,11 +365,9 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     probes = analysis.boundary_probes(es, rule, seed=cfg.seed)
     sups = analysis.operator_norm_probe(es, cfg.p, cfg.delta, R_grid, probes)
     report.probe_growth = float(sups[-1] / sups[0])
-    if cfg.fmt == "json":
-        _emit(cfg, report.to_dict(), [])
-    else:
-        rows = zip(report.R_grid, report.errors, report.weight_counts, report.slope_so_far)
-        _emit(cfg, _csv_text("R,error,weight_count,slope_so_far", rows), [])
+    _emit(cfg, report.to_dict(),
+          csv=("R,error,weight_count,slope_so_far",
+               lambda: zip(report.R_grid, report.errors, report.weight_counts, report.slope_so_far)))
     return EXIT_OK
 
 
@@ -375,12 +377,10 @@ def _cmd_kernel(cfg: RunConfig) -> int:
     lo, hi = family_grid(es.spec.family, es.spec.alpha).interval
     pts = lo + (hi - lo) * (np.arange(cfg.grid_points) + 0.5) / cfg.grid_points
     K = riesz.riesz_kernel_table(es, RieszConfig(R=R, delta=cfg.delta), pts)
-    if cfg.fmt == "json":
-        _emit(cfg, {"R": R, "delta": cfg.delta, "points": pts, "kernel": K}, [])
-    else:
-        x = pts.tolist()
-        rows = ((xi, yj, v) for xi, row in zip(x, K.tolist()) for yj, v in zip(x, row))
-        _emit(cfg, _csv_text("x,y,value", rows), [])
+    x = pts.tolist()
+    _emit(cfg, {"R": R, "delta": cfg.delta, "points": pts, "kernel": K},
+          csv=("x,y,value",
+               lambda: ((xi, yj, v) for xi, row in zip(x, K.tolist()) for yj, v in zip(x, row))))
     return EXIT_OK
 
 
@@ -408,11 +408,9 @@ def _cmd_exponents(cfg: RunConfig) -> int:
             + (" (critical line p=p_0)" if r["critical"] else "") + "\n"
         )
     if cfg.output:
-        if cfg.fmt == "json":
-            _emit(cfg, {"p0": table.p0, "p0_dual": table.p0_dual, "rows": rows}, [])
-        else:
-            keys = ("p", "gamma_p", "p_dual", "gamma_p_dual", "delta_threshold", "critical")
-            _emit(cfg, _csv_text(",".join(keys), ([r[k] for k in keys] for r in rows)), [])
+        keys = ("p", "gamma_p", "p_dual", "gamma_p_dual", "delta_threshold", "critical")
+        _emit(cfg, {"p0": table.p0, "p0_dual": table.p0_dual, "rows": rows},
+              csv=(",".join(keys), lambda: ([r[k] for k in keys] for r in rows)))
     return EXIT_OK
 
 
@@ -500,13 +498,10 @@ def run(config: RunConfig) -> int:
     """Execute one resolved configuration; returns the process exit code."""
     try:
         return _COMMANDS[config.command](config)
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
     except NumericsError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICS
-    except ValueError as exc:
+    except ValueError as exc:  # UsageError among them
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -366,10 +366,11 @@ class TestJacobiApproxResidual:
             jacobi_approx_residual(esc, 0)
         with pytest.raises(ValueError, match="not retained"):
             jacobi_approx_residual(es, es.n_retained)
-        with pytest.warns(UserWarning):
-            es_wide = solve(ProlateSpec(family=Family.GPSWF, alpha=1.8, c=1.0, N=32))
-        with pytest.raises(ValueError):
-            jacobi_approx_residual(es_wide, 0)
+        for alpha in (-0.25, 1.5, 1.6, 1.8):
+            with pytest.warns(UserWarning):
+                es_wide = solve(ProlateSpec(family=Family.GPSWF, alpha=alpha, c=1.0, N=32))
+            with pytest.raises(ValueError, match="diagnostic valid for 0 <= alpha < 3/2"):
+                jacobi_approx_residual(es_wide, 0)
 
 
 class TestNanExponent:

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from prolatesum import transforms
+from prolatesum import cli, transforms
 from prolatesum.analysis import convergence_sweep
 from prolatesum.cli import (
     EXIT_USAGE,
@@ -92,6 +93,16 @@ class TestVerify:
         assert main(args) == 0
         capsys.readouterr()
         assert out.read_bytes() == first
+
+    def test_out_of_range_alpha_warns_once(self, tmp_path, capsys):
+        # the 2N refinement solve does not repeat the run's own warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["verify", "--family", "gpswf", "--alpha", "1.7", "--n", "32",
+                         "--quad-size", "64", "--output", str(tmp_path / "v.json")])
+        assert code == 0
+        assert [w.category for w in caught] == [UserWarning]
+        assert "outside the convergence-theorem range" in str(caught[0].message)
 
     def test_csv_is_three_json_lines(self, capsys):
         code, out, _ = run_cli(["verify", "--n", "16", "--quad-size", "32", "--format", "csv"], capsys)
@@ -290,6 +301,31 @@ class TestKernel:
         assert not out.exists()
 
 
+def _exponents_table(results):
+    keys = ["p", "gamma_p", "p_dual", "gamma_p_dual", "delta_threshold", "critical"]
+    return ",".join(keys), [[row[k] for k in keys] for row in results["rows"]]
+
+
+def _basis_table(results):
+    # the JSON artifact holds chi; the bounds are the library's for its spec
+    es = solve(ProlateSpec(family=results["family"], alpha=results["alpha"], c=results["c"],
+                           N=results["N"]))
+    chi = results["chi"]
+    return "n,chi,lower_bound,upper_bound", list(zip(range(len(chi)), chi, es.lower_bounds(),
+                                                     es.upper_bounds()))
+
+
+def _sweep_table(results):
+    keys = ["R_grid", "errors", "weight_counts", "slope_so_far"]
+    return "R,error,weight_count,slope_so_far", list(zip(*(results[k] for k in keys)))
+
+
+def _kernel_table(results):
+    x = results["points"]
+    return "x,y,value", [(xi, yj, v) for xi, row in zip(x, results["kernel"])
+                         for yj, v in zip(x, row)]
+
+
 class TestExponents:
     def test_theorem_value_printed(self, capsys):
         code, out, _ = run_cli(["exponents", "--family", "gpswf", "--alpha", "0",
@@ -313,22 +349,26 @@ class TestExponents:
         assert data["results"]["p0"] == pytest.approx(4 / 3)
 
 
-    @pytest.mark.parametrize("extra", [[], ["--family", "gpswf", "--alpha", "0",
-                                            "--p", "1.3333333333333333"]])
-    def test_csv_rows_equal_json_rows(self, extra, tmp_path, capsys):
-        args = ["exponents", "--family", "cpswf", "--p-count", "5", *extra]
-        assert main([*args, "--output", str(tmp_path / "exp.json")]) == 0
-        assert main([*args, "--format", "csv", "--output", str(tmp_path / "exp.csv")]) == 0
+    @pytest.mark.parametrize("args,json_table", [
+        (["exponents", "--family", "cpswf", "--p-count", "5"], _exponents_table),
+        (["exponents", "--family", "gpswf", "--alpha", "0", "--p", "1.3333333333333333"],
+         _exponents_table),
+        (["basis", "--family", "cpswf", "--alpha", "1.5", "--c", "4", "--n", "32"], _basis_table),
+        (["sweep", "--n", "64", "--quad-size", "128", "--r-count", "4"], _sweep_table),
+        (["kernel", "--family", "cpswf", "--alpha", "0.5", "--n", "32", "--grid-points", "5"],
+         _kernel_table),
+    ], ids=["exponents-grid", "exponents-critical", "basis", "sweep", "kernel"])
+    def test_csv_rows_equal_json_rows(self, args, json_table, tmp_path, capsys):
+        # every CSV table holds the values of the JSON artifact of the same run
+        assert main([*args, "--output", str(tmp_path / "a.json")]) == 0
+        assert main([*args, "--format", "csv", "--output", str(tmp_path / "a.csv")]) == 0
         capsys.readouterr()
-        rows = json.loads((tmp_path / "exp.json").read_text())["results"]["rows"]
-        lines = (tmp_path / "exp.csv").read_text().splitlines()
-        keys = lines[1].split(",")
-        assert keys == ["p", "gamma_p", "p_dual", "gamma_p_dual", "delta_threshold", "critical"]
-        assert len(lines) == 2 + len(rows)
-        for line, row in zip(lines[2:], rows):
-            got = dict(zip(keys, line.split(",")))
-            assert got.pop("critical") == str(int(row.pop("critical")))
-            assert {k: float(v) for k, v in got.items()} == row
+        header, rows = json_table(json.loads((tmp_path / "a.json").read_text())["results"])
+        lines = (tmp_path / "a.csv").read_text().splitlines()
+        assert lines[1] == header
+        got = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
+        # JSON writes nan as null, and a bool critical flag is 1 or 0 in CSV
+        assert np.array_equal(got, np.array(rows, dtype=float), equal_nan=True)
 
 
 class TestErrors:
@@ -411,6 +451,34 @@ class TestDefaults:
         assert main(["basis", "--n", "16", "--output", str(out)]) == 0
         config = json.loads(out.read_text())["config"]
         assert config == asdict(RunConfig(command="basis", N=16, output=str(out)))
+
+
+class TestRowsOnlyForCsv:
+    @pytest.mark.parametrize("args", [
+        ["basis", "--n", "32"],
+        ["sweep", "--n", "64", "--quad-size", "128", "--r-count", "4"],
+        ["kernel", "--n", "32", "--grid-points", "5"],
+        ["exponents", "--p-count", "3"],
+    ])
+    @pytest.mark.parametrize("fmt,builds", [("json", 0), ("csv", 1)])
+    def test_table_rows_built_only_for_csv(self, args, fmt, builds, tmp_path, capsys, monkeypatch):
+        # a JSON run never calls rows(): the kernel's would hold grid_points**2 floats
+        original, built = cli._emit, []
+
+        def spying(cfg, results, csv=None, checks=()):
+            header, rows = csv
+
+            def counted_rows():
+                built.append(1)
+                return rows()
+
+            return original(cfg, results, csv=(header, counted_rows), checks=checks)
+
+        monkeypatch.setattr(cli, "_emit", spying)
+        out = tmp_path / f"artifact.{fmt}"
+        assert main([*args, "--format", fmt, "--output", str(out)]) == 0
+        assert len(built) == builds
+        assert out.exists()
 
 
 class TestModeTable:
