@@ -63,7 +63,8 @@ def norm_growth_fit(es: EigenSystem, p: float, n_range: tuple[int, int]) -> floa
     ns = np.arange(lo, hi + 1)
     if p == math.inf:
         grid = _dense_interior_grid(es)
-        vals = np.max(np.abs(es.mode_matrix(grid)[ns]), axis=1)
+        # only the fitted modes are evaluated
+        vals = np.max(np.abs(es.coeffs[:, ns].T @ es.basis_matrix(grid)), axis=1)
     else:
         rule = es.default_rule()
         vals = _lp_norms(es.rule_modes(rule)[ns], rule.weights, p)

@@ -263,12 +263,39 @@ class EigenSystem:
         }
 
 
+# rows a block's window carries past its k retainable rows: enough for the
+# retained eigenvectors to decay to MRRR's exact zeros before the window's
+# last row, so that the first window nearly always certifies
+WINDOW_PAD = 32
+
+
+def _solve_leading(b: GalerkinBlock, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k leading eigenpairs of block b, solved on a leading window of its
+    rows; the eigenvectors have the window's length.
+
+    MRRR returns each eigenvector as exact zeros outside its support.  When
+    all k vectors are 0 on the window's last row, each one padded with zeros
+    is an eigenvector of the whole block to the accuracy of the window solve,
+    and Cauchy interlacing keeps the window's eigenvalues above the block's.
+    Otherwise the window doubles, up to the whole block.
+    """
+    n = b.diag.size
+    size = min(n, k + WINDOW_PAD)
+    while True:
+        w, v = symtridiag_eigen(b.diag[:size], b.off[: size - 1])
+        if size == n or not np.any(v[-1, :k]):
+            return w[:k], v[:, :k]
+        size = min(n, 2 * size)
+
+
 def solve(spec: ProlateSpec) -> EigenSystem:
     """Solve the Galerkin eigenproblem and keep the converged leading pairs.
 
-    Block spectra are merged and sorted ascending; the first
-    floor(N * keep_fraction) pairs are retained, each column gets the
-    positive-leading-coefficient sign convention and (GPSWF) a parity tag.
+    Each block is solved on the leading window of its rows that certifies
+    the pairs it can contribute (_solve_leading).  Block spectra are merged
+    and sorted ascending; the first floor(N * keep_fraction) pairs are
+    retained, each column gets the positive-leading-coefficient sign
+    convention and (GPSWF) a parity tag.
     """
     if not spec.theorem_range_ok:
         warnings.warn(
@@ -279,9 +306,14 @@ def solve(spec: ProlateSpec) -> EigenSystem:
         )
     blocks = build_galerkin(spec)
     N, m = spec.N, spec.n_retained
-    # solve each block, merge and sort the spectra, then place only the m
-    # retained columns: no (N, N) array is ever formed
-    solved = [symtridiag_eigen(b.diag, b.off) for b in blocks]
+    # The Galerkin matrix is D + c^2 X with 0 <= X <= I, so block eigenvalue j
+    # is at least free(rows[j]) and chi_{m-1} at most free(m-1) + c^2: only
+    # the k leading pairs of a block whose rows pass that bound can be kept.
+    free = _free_spectrum(spec, N)
+    bound = free[m - 1] + spec.c**2
+    # solve each block on a leading window, merge and sort the spectra, then
+    # place only the m retained columns: no (N, N) array is ever formed
+    solved = [_solve_leading(b, np.count_nonzero(free[b.rows] <= bound)) for b in blocks]
     chi = np.concatenate([w for w, _ in solved])
     parity = np.concatenate([np.full(w.size, i) for i, (w, _) in enumerate(solved)])
     order = np.argsort(chi)[:m]
@@ -300,7 +332,8 @@ def solve(spec: ProlateSpec) -> EigenSystem:
         # largest entry of a column lies on its block's rows
         lead = np.argmax(np.abs(vecs), axis=0)
         flip[picked] = vecs[lead, np.arange(lead.size)] < 0
-        cols[b.rows, picked] = vecs
+        # cols[b.rows] is a view: the columns land on the window's rows
+        cols[b.rows][: vecs.shape[0], picked] = vecs
         start += w.size
     # whole columns are negated, zeros too, so a flipped column carries -0.0
     np.negative(cols, out=cols, where=flip)

@@ -1,17 +1,21 @@
 import json
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prolatesum import prolate
 from prolatesum.cli import _json_text
 from prolatesum.cli import main as cli_main
 from prolatesum.prolate import (
+    WINDOW_PAD,
     Family,
     ProlateSpec,
+    _free_spectrum,
     build_galerkin,
     check_bounds,
     solve,
@@ -220,12 +224,34 @@ def full_width_solve(spec):
     return chi, cols, parity
 
 
+def retainable_rows(spec):
+    """Per block, the number k of leading rows r with free(r) <= free(m-1) + c^2:
+    no block eigenvalue past the k-th can be retained."""
+    free = _free_spectrum(spec, spec.N)
+    bound = free[spec.n_retained - 1] + spec.c**2
+    return [np.count_nonzero(free[b.rows] <= bound) for b in build_galerkin(spec)]
+
+
+def recorded_solve(spec):
+    """solve(spec) and, per block, the row counts of its eigensolves in order."""
+    calls = []
+
+    def recording(diag, off):
+        calls.append((diag[0], diag.size))
+        return symtridiag_eigen(diag, off)
+
+    with mock.patch.object(prolate, "symtridiag_eigen", recording):
+        es = solve(spec)
+    # a block's windows all start at its first diagonal entry
+    return es, [[size for first, size in calls if first == b.diag[0]] for b in build_galerkin(spec)]
+
+
 class TestRetainedColumnsOnly:
     @settings(max_examples=60, deadline=None)
     @given(family=st.sampled_from([Family.GPSWF, Family.CPSWF]),
            alpha=st.floats(-0.45, 3.0), c=st.floats(0.0, 60.0),
-           N=st.integers(4, 96), keep=st.sampled_from([0.25, 0.5, 1.0]))
-    def test_bit_identical_to_full_width_solve(self, family, alpha, c, N, keep):
+           N=st.integers(4, 320), keep=st.sampled_from([0.25, 0.5, 1.0]))
+    def test_matches_full_width_solve(self, family, alpha, c, N, keep):
         spec = ProlateSpec(family=family, alpha=alpha, c=c, N=N, keep_fraction=keep)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # alpha outside the theorem range
@@ -235,15 +261,48 @@ class TestRetainedColumnsOnly:
                 with pytest.raises(NumericsError):
                     solve(spec)
                 return
-            es = solve(spec)
-        # tobytes also compares the signs of zero entries
-        assert es.chi.tobytes() == chi.tobytes()
+            es, sizes = recorded_solve(spec)
+        blocks = build_galerkin(spec)
         assert es.coeffs.shape == cols.shape
-        assert es.coeffs.tobytes() == np.ascontiguousarray(cols).tobytes()
         if family is Family.GPSWF:
             assert es.parity.tobytes() == parity.tobytes()
         else:
             assert es.parity is None
+        if [s[-1] for s in sizes] == [b.diag.size for b in blocks]:
+            # every block solved whole: tobytes also compares the signs of zero entries
+            assert es.chi.tobytes() == chi.tobytes()
+            assert es.coeffs.tobytes() == np.ascontiguousarray(cols).tobytes()
+            return
+        assert np.all(np.abs(es.chi - chi) <= 1e-13 * np.maximum(1.0, np.abs(chi)))
+        assert np.max(np.abs(es.coeffs - cols)) <= 1e-12
+        owner = es.parity if family is Family.GPSWF else np.zeros(es.n_retained, dtype=int)
+        for i, (b, s) in enumerate(zip(blocks, sizes)):
+            assert not np.any(es.coeffs[b.rows][s[-1]:, owner == i])
+
+    # the benchmark's large solves: gpswf at N = 2048 and cpswf at N = 1024
+    @pytest.mark.parametrize("c", [1.0, 4.0, 16.0])
+    @pytest.mark.parametrize("family,alpha,N", [
+        (Family.GPSWF, 0.0, 2048), (Family.GPSWF, 0.5, 2048), (Family.GPSWF, 1.0, 2048),
+        (Family.CPSWF, 0.5, 1024), (Family.CPSWF, 1.5, 1024)])
+    def test_each_block_is_solved_once_on_its_retainable_rows_and_the_pad(self, family, alpha, N, c):
+        spec = ProlateSpec(family=family, alpha=alpha, c=c, N=N)
+        _, sizes = recorded_solve(spec)
+        assert [len(s) for s in sizes] == [1] * len(sizes)
+        for (size,), k in zip(sizes, retainable_rows(spec)):
+            assert size <= k + WINDOW_PAD
+
+    def test_window_that_fails_the_certificate_doubles(self):
+        # mode 0 reaches past the first windows (98 and 97 rows: c^2 makes 66
+        # and 65 rows retainable, not 64), and the doubled windows of 196 and
+        # 194 of the 256 rows hold every retained mode
+        spec = ProlateSpec(family=Family.GPSWF, alpha=0.0, c=30.0, N=512, keep_fraction=0.25)
+        es, sizes = recorded_solve(spec)
+        first = [k + WINDOW_PAD for k in retainable_rows(spec)]
+        assert sizes == [[w, 2 * w] for w in first]
+        assert all(2 * w < b.diag.size for w, b in zip(first, build_galerkin(spec)))
+        chi, cols, _ = full_width_solve(spec)
+        assert np.all(np.abs(es.chi - chi) <= 1e-13 * np.maximum(1.0, chi))
+        assert np.max(np.abs(es.coeffs - cols)) <= 1e-12
 
     @pytest.mark.parametrize("family,N", [(Family.GPSWF, 512), (Family.CPSWF, 256)])
     def test_coeffs_own_at_most_N_times_m_entries(self, family, N):
@@ -252,16 +311,18 @@ class TestRetainedColumnsOnly:
         assert base.size <= N * es.n_retained
 
     def test_gpswf_peak_memory_is_the_blocks_and_coeffs(self):
-        # at its peak solve holds both (N/2)^2 block eigenvector matrices, coeffs
-        # (as large as both) and one block's picked columns: 2.25 coeffs.  A
-        # sign convention over a coeffs-sized |coeffs| temporary reaches 4.
+        # at its peak solve holds coeffs, both blocks' window eigenvector
+        # matrices (288 of 512 rows each here, 0.16 coeffs each) and one
+        # block's picked columns (0.14 coeffs): 1.47 coeffs measured.  The
+        # bound leaves 0.13 coeffs of margin; whole-block matrices (0.5 coeffs
+        # each) exceed it.
         tracemalloc.start()
         try:
             es = gpswf(c=20.0, N=1024)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * es.coeffs.nbytes
+        assert peak < 1.6 * es.coeffs.nbytes
 
 
 class TestEval:
