@@ -214,7 +214,7 @@ def convergence_sweep(f: SampledFunction, es: EigenSystem, p: float, delta: floa
     thr = delta_threshold(table, p)
     means = riesz_means(f.values[None, :], f.rule, es, R_grid, delta)[:, 0]
     errors = _lp_norms(f.values - means, f.rule.weights, p)
-    counts = np.array([int(np.sum(es.chi < R)) for R in R_grid])
+    counts = np.searchsorted(es.chi, R_grid)  # the count of chi_n < R
     parseval_gap = None
     if p == 2:
         a2 = np.abs(expansion_coeffs(f, es)) ** 2

@@ -99,8 +99,9 @@ def _json_text(obj) -> str:
     """Strict JSON of obj with the bytes of json.dumps(obj, indent=2,
     sort_keys=True), except that a non-finite float is written as null.
 
-    A float64 ndarray is written with the bytes of its tolist(), and any
-    other ndarray through tolist().  A finite float (np.float64 included) is
+    An ndarray is written with the bytes of its tolist(): one of two or more
+    axes as the list of its rows, a nonempty 1-d float64 array by formatting
+    only its nonzero entries.  A finite float (np.float64 included) is
     written with float.__repr__, the form json itself writes; other scalars
     are written by json.dumps.  Dict keys must be strings.
     """
@@ -117,15 +118,30 @@ def _json_line(obj) -> str:
 
 def _json_chunks(obj, pad: str, out: list) -> None:
     # pad is the newline and indent that close obj; its items sit one level in
+    inner = pad + "  "
     if isinstance(obj, np.ndarray):
-        if obj.dtype == np.float64 and obj.ndim:
-            _float_array_chunks(obj, pad, out)
+        if obj.ndim == 1 and len(obj) and obj.dtype == np.float64:
+            # the bytes of obj.tolist(): each entry starts as the shared
+            # string "0.0", and only entries whose bits are not those of +0.0
+            # (-0.0 among them) are formatted.  The Python-level work is one
+            # store per nonzero: a dense 512 x 512 array takes about what
+            # joining map(float.__repr__, row) over its rows takes (0.19-0.20 s
+            # on one x86-64 core), a mostly-zero basis a small fraction of it.
+            # No workload writes a dense array of basis size.
+            text = ["0.0"] * obj.size
+            nonzero = np.flatnonzero(obj.view(np.int64))
+            values = obj[nonzero]
+            for i, v in zip(nonzero.tolist(), map(float.__repr__, values.tolist())):
+                text[i] = v
+            for i in nonzero[~np.isfinite(values)].tolist():
+                text[i] = "null"
+            out.append("[" + inner + ("," + inner).join(text) + pad + "]")
             return
-        obj = obj.tolist()
+        # an array of two or more axes is the list of its rows
+        obj = list(obj) if obj.ndim > 1 else obj.tolist()
     if isinstance(obj, float):
         out.append(float.__repr__(obj) if math.isfinite(obj) else "null")
         return
-    inner = pad + "  "
     if isinstance(obj, dict) and obj:
         if not all(isinstance(k, str) for k in obj):
             raise TypeError("artifact keys must be strings")
@@ -144,36 +160,6 @@ def _json_chunks(obj, pad: str, out: list) -> None:
         out.append(pad + "]")
     else:  # str, int, bool, None, {} and []
         out.append(json.dumps(obj))
-
-
-def _float_array_chunks(a: np.ndarray, pad: str, out: list) -> None:
-    # the bytes of _json_chunks(a.tolist(), pad, out): each row starts as the
-    # shared string "0.0", and only entries whose bits are not those of +0.0
-    # (-0.0 among them) are formatted.  The Python-level work is one store
-    # per nonzero: a dense 512 x 512 array takes about what joining
-    # map(float.__repr__, row) over its rows takes (0.19-0.20 s on one
-    # x86-64 core), a mostly-zero basis a small fraction of it.  No
-    # workload writes a dense array of basis size.
-    if not len(a):
-        out.append("[]")
-        return
-    inner = pad + "  "
-    if a.ndim > 1:
-        sep = "[" + inner
-        for row in a:
-            out.append(sep)
-            _float_array_chunks(row, inner, out)
-            sep = "," + inner
-    else:
-        text = ["0.0"] * a.size
-        nonzero = np.flatnonzero(a.view(np.int64))
-        values = a[nonzero]
-        for i, v in zip(nonzero.tolist(), map(float.__repr__, values.tolist())):
-            text[i] = v
-        for i in nonzero[~np.isfinite(values)].tolist():
-            text[i] = "null"
-        out.append("[" + inner + ("," + inner).join(text))
-    out.append(pad + "]")
 
 
 def _csv_text(header: str, rows) -> str:

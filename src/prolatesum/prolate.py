@@ -264,8 +264,8 @@ class EigenSystem:
 
 
 # rows a block's window carries past its k retainable rows: enough for the
-# retained eigenvectors to decay to MRRR's exact zeros before the window's
-# last row, so that the first window nearly always certifies
+# retained eigenvectors to decay below the certificate's residual before the
+# window's last row, so that the first window nearly always certifies
 WINDOW_PAD = 32
 
 
@@ -273,17 +273,22 @@ def _solve_leading(b: GalerkinBlock, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k leading eigenpairs of block b, solved on a leading window of its
     rows; the eigenvectors have the window's length.
 
-    MRRR returns each eigenvector as exact zeros outside its support.  When
-    all k vectors are 0 on the window's last row, each one padded with zeros
-    is an eigenvector of the whole block to the accuracy of the window solve,
-    and Cauchy interlacing keeps the window's eigenvalues above the block's.
-    Otherwise the window doubles, up to the whole block.
+    A window eigenvector v padded with zeros has, in the whole block, the
+    residual |off[w-1] v[w-1]| for a window of w rows: the one coupling to
+    the row below.  The window is accepted when that residual is at most
+    eps * max|theta| (theta the window's eigenvalues) for all k vectors,
+    which is the accuracy of the window solve itself: each padded vector is
+    then an eigenvector of the whole block to that accuracy, and Cauchy
+    interlacing keeps the window's eigenvalues above the block's.  The exact
+    zeros MRRR returns outside a vector's support pass.  Otherwise the window
+    doubles, up to the whole block.
     """
     n = b.diag.size
     size = min(n, k + WINDOW_PAD)
     while True:
         w, v = symtridiag_eigen(b.diag[:size], b.off[: size - 1])
-        if size == n or not np.any(v[-1, :k]):
+        if size == n or np.all(np.abs(b.off[size - 1] * v[-1, :k])
+                               <= np.finfo(float).eps * np.max(np.abs(w))):
             return w[:k], v[:, :k]
         size = min(n, 2 * size)
 

@@ -164,12 +164,6 @@ def riesz_kernel_table(es: EigenSystem, cfg: RieszConfig, points) -> np.ndarray:
     return np.triu(K) + np.triu(K, 1).T
 
 
-def riesz_kernel(es: EigenSystem, cfg: RieszConfig, x, y) -> float:
-    """K_R^delta(x, y): the table on the sorted pair, so exactly symmetric."""
-    lo, hi = sorted((float(x), float(y)))
-    return float(riesz_kernel_table(es, cfg, np.array([lo, hi]))[0, 1])
-
-
 # ---------------------------------------------------------------------------
 # critical exponents (convergence theorems)
 # ---------------------------------------------------------------------------

@@ -226,6 +226,15 @@ class TestConvergenceSweep:
         assert rep.weight_counts.tolist() == [10, 20, 40]
         assert rep.b1_constant <= 1.0
 
+    def test_weight_counts_count_chi_below_each_radius(self, es, rule):
+        # radii on eigenvalues (chi_n < R is strict) and between them
+        f = SampledFunction(rule=rule, values=np.exp(rule.nodes))
+        mid = (es.chi[[5, 25, 45]] + es.chi[[6, 26, 46]]) / 2
+        R_grid = np.sort(np.concatenate([es.chi[[3, 17, 40]], mid]))
+        rep = convergence_sweep(f, es, 2.0, 1.0, R_grid)
+        assert rep.weight_counts.tolist() == [int(np.sum(es.chi < R)) for R in R_grid]
+        assert rep.weight_counts.tolist() == [3, 6, 17, 26, 40, 46]
+
     def test_report_serialization(self, es, rule, tmp_path):
         # the report as the CLI writes it: JSON through its strict encoder,
         # CSV from the sweep command on the same system, rule and function

@@ -564,10 +564,10 @@ _JSON_VALUES = st.recursive(
     max_leaves=40,
 )
 
-# float64 arrays of 1 to 3 axes, some empty; entries include +-0.0, subnormals,
+# float64 arrays of 0 to 3 axes, some empty; entries include +-0.0, subnormals,
 # nan and +-inf, and many arrays are mostly exact zeros
 _FLOAT_ARRAYS = hnp.arrays(
-    np.float64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=6),
+    np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=6),
     elements=st.floats() | st.sampled_from([0.0, 0.0, 0.0, -0.0]),
 )
 

@@ -224,6 +224,11 @@ def full_width_solve(spec):
     return chi, cols, parity
 
 
+# the (family, alpha) pairs of the benchmark's workloads
+BENCHMARK_FAMILIES = ((Family.GPSWF, 0.0), (Family.GPSWF, 0.5), (Family.GPSWF, 1.0),
+                      (Family.CPSWF, 0.5), (Family.CPSWF, 1.5))
+
+
 def retainable_rows(spec):
     """Per block, the number k of leading rows r with free(r) <= free(m-1) + c^2:
     no block eigenvalue past the k-th can be retained."""
@@ -279,23 +284,26 @@ class TestRetainedColumnsOnly:
         for i, (b, s) in enumerate(zip(blocks, sizes)):
             assert not np.any(es.coeffs[b.rows][s[-1]:, owner == i])
 
-    # the benchmark's large solves: gpswf at N = 2048 and cpswf at N = 1024
-    @pytest.mark.parametrize("c", [1.0, 4.0, 16.0])
-    @pytest.mark.parametrize("family,alpha,N", [
-        (Family.GPSWF, 0.0, 2048), (Family.GPSWF, 0.5, 2048), (Family.GPSWF, 1.0, 2048),
-        (Family.CPSWF, 0.5, 1024), (Family.CPSWF, 1.5, 1024)])
-    def test_each_block_is_solved_once_on_its_retainable_rows_and_the_pad(self, family, alpha, N, c):
-        spec = ProlateSpec(family=family, alpha=alpha, c=c, N=N)
+    # the benchmark's solves: its large ones (gpswf at N = 2048 and cpswf at
+    # N = 1024), and verify-n128's at N = 128 and its 2N refinement at N = 256
+    @pytest.mark.parametrize("family,alpha,N,keep,c", [
+        *[pytest.param(fam, a, N, 0.5, c, id=f"{fam.value}-{a}-{N}-{c}")
+          for fam, a in BENCHMARK_FAMILIES for N in [2048 if fam is Family.GPSWF else 1024]
+          for c in (1.0, 4.0, 16.0)],
+        *[(fam, a, N, keep, c) for fam, a in BENCHMARK_FAMILIES
+          for N, keep in ((128, 0.5), (256, 0.25)) for c in (1.0, 4.0, 8.0)]])
+    def test_each_block_is_solved_once_on_its_retainable_rows_and_the_pad(self, family, alpha, N, keep, c):
+        spec = ProlateSpec(family=family, alpha=alpha, c=c, N=N, keep_fraction=keep)
         _, sizes = recorded_solve(spec)
         assert [len(s) for s in sizes] == [1] * len(sizes)
         for (size,), k in zip(sizes, retainable_rows(spec)):
             assert size <= k + WINDOW_PAD
 
     def test_window_that_fails_the_certificate_doubles(self):
-        # mode 0 reaches past the first windows (98 and 97 rows: c^2 makes 66
-        # and 65 rows retainable, not 64), and the doubled windows of 196 and
-        # 194 of the 256 rows hold every retained mode
-        spec = ProlateSpec(family=Family.GPSWF, alpha=0.0, c=30.0, N=512, keep_fraction=0.25)
+        # at c = 200 the retained modes' residuals on the first windows (194
+        # rows: c^2 makes 162 rows retainable, not 128) exceed the
+        # certificate, and the doubled windows of 388 of the 512 rows pass it
+        spec = ProlateSpec(family=Family.GPSWF, alpha=0.0, c=200.0, N=1024, keep_fraction=0.25)
         es, sizes = recorded_solve(spec)
         first = [k + WINDOW_PAD for k in retainable_rows(spec)]
         assert sizes == [[w, 2 * w] for w in first]
