@@ -293,14 +293,35 @@ def _solve_leading(b: GalerkinBlock, k: int) -> tuple[np.ndarray, np.ndarray]:
         size = min(n, 2 * size)
 
 
+def _spectrum(spec: ProlateSpec):
+    """The merged block spectra: each block solved on a leading window of its
+    rows (_solve_leading), the eigenvalues sorted ascending and the first
+    floor(N * keep_fraction) retained.  Returns the retained chi, each one's
+    block and column in that block's window solve, the blocks, their solves.
+    """
+    blocks = build_galerkin(spec)
+    # The Galerkin matrix is D + c^2 X with 0 <= X <= I, so block eigenvalue j
+    # is at least free(rows[j]) and chi_{m-1} at most free(m-1) + c^2: only
+    # the k leading pairs of a block whose rows pass that bound can be kept.
+    free = _free_spectrum(spec, spec.N)
+    bound = free[spec.n_retained - 1] + spec.c**2
+    solved = [_solve_leading(b, np.count_nonzero(free[b.rows] <= bound)) for b in blocks]
+    chi = np.concatenate([w for w, _ in solved])
+    block = np.concatenate([np.full(w.size, i) for i, (w, _) in enumerate(solved)])
+    column = np.concatenate([np.arange(w.size) for w, _ in solved])
+    order = np.argsort(chi)[: spec.n_retained]
+    chi = chi[order]
+    if np.any(np.diff(chi) <= 0):
+        raise NumericsError("merged spectrum is not strictly increasing")
+    return chi, block[order], column[order], blocks, solved
+
+
 def solve(spec: ProlateSpec) -> EigenSystem:
     """Solve the Galerkin eigenproblem and keep the converged leading pairs.
 
-    Each block is solved on the leading window of its rows that certifies
-    the pairs it can contribute (_solve_leading).  Block spectra are merged
-    and sorted ascending; the first floor(N * keep_fraction) pairs are
-    retained, each column gets the positive-leading-coefficient sign
-    convention and (GPSWF) a parity tag.
+    Only the retained columns of the merged spectrum (_spectrum) are placed,
+    each at its block's rows, with the positive-leading-coefficient sign
+    convention and (GPSWF) its block as parity tag: no (N, N) array is formed.
     """
     if not spec.theorem_range_ok:
         warnings.warn(
@@ -309,44 +330,26 @@ def solve(spec: ProlateSpec) -> EigenSystem:
             "thresholds are not asserted there",
             stacklevel=2,
         )
-    blocks = build_galerkin(spec)
-    N, m = spec.N, spec.n_retained
-    # The Galerkin matrix is D + c^2 X with 0 <= X <= I, so block eigenvalue j
-    # is at least free(rows[j]) and chi_{m-1} at most free(m-1) + c^2: only
-    # the k leading pairs of a block whose rows pass that bound can be kept.
-    free = _free_spectrum(spec, N)
-    bound = free[m - 1] + spec.c**2
-    # solve each block on a leading window, merge and sort the spectra, then
-    # place only the m retained columns: no (N, N) array is ever formed
-    solved = [_solve_leading(b, np.count_nonzero(free[b.rows] <= bound)) for b in blocks]
-    chi = np.concatenate([w for w, _ in solved])
-    parity = np.concatenate([np.full(w.size, i) for i, (w, _) in enumerate(solved)])
-    order = np.argsort(chi)[:m]
-    chi, parity = chi[order], parity[order]
-    if np.any(np.diff(chi) <= 0):
-        raise NumericsError("merged spectrum is not strictly increasing")
-    cols = np.zeros((N, m))
-    flip = np.zeros(m, dtype=bool)
-    start = 0
-    for b in blocks:
-        w, v = solved.pop(0)
-        picked = (order >= start) & (order < start + w.size)
-        vecs = v[:, order[picked] - start]
-        del v  # only the picked columns are kept
+    chi, block, column, blocks, solved = _spectrum(spec)
+    cols = np.zeros((spec.N, chi.size))
+    flip = np.zeros(chi.size, dtype=bool)
+    for i, b in enumerate(blocks):
+        picked = block == i
+        vecs = solved[i][1][:, column[picked]]
+        solved[i] = None  # only the picked columns are kept
         # the sign convention: the other blocks' rows are zero, so the
         # largest entry of a column lies on its block's rows
         lead = np.argmax(np.abs(vecs), axis=0)
         flip[picked] = vecs[lead, np.arange(lead.size)] < 0
         # cols[b.rows] is a view: the columns land on the window's rows
         cols[b.rows][: vecs.shape[0], picked] = vecs
-        start += w.size
     # whole columns are negated, zeros too, so a flipped column carries -0.0
     np.negative(cols, out=cols, where=flip)
     return EigenSystem(
         spec=spec,
         chi=chi,
         coeffs=cols,
-        parity=parity if spec.family is Family.GPSWF else None,
+        parity=block if spec.family is Family.GPSWF else None,
     )
 
 

@@ -1,6 +1,6 @@
 import json
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -141,6 +141,25 @@ class TestTruncationRefinement:
         check = self._check(out)
         # c >> N: every row is retainable, so both blocks are solved whole
         assert not check["pass"] and check["value"] == pytest.approx(0.42, abs=0.005)
+
+    @pytest.mark.parametrize("args,code", [(["--n", "64", "--c", "4"], 0), (["--n", "64", "--c", "200"], 2)])
+    def test_one_solve_per_run(self, args, code, tmp_path, capsys, monkeypatch):
+        # the 2N refinement reads the merged spectrum alone, not a second solve
+        specs = []
+
+        def counting(spec):
+            specs.append(spec)
+            return solve(spec)
+
+        monkeypatch.setattr(cli, "solve", counting)
+        out = tmp_path / "v.json"
+        assert run_cli(["verify", *args, "--output", str(out)], capsys)[0] == code
+        assert len(specs) == 1
+        # the value a full 2N solve gives
+        es = solve(specs[0])
+        es2 = solve(replace(specs[0], N=128, keep_fraction=0.25))
+        drift = np.abs(es.chi - es2.chi[: es.n_retained]) / np.maximum(1.0, es.chi)
+        assert self._check(out)["value"] == float(np.max(drift))
 
 
 class TestRuleResolution:
@@ -390,6 +409,24 @@ class TestErrors:
     def test_validate_rejects_family_and_format(self, field, value, message):
         with pytest.raises(UsageError, match=message):
             RunConfig(command="basis", **{field: value}).validate()
+
+    @pytest.mark.parametrize("args,message", [
+        (["verify", "--n", "1024", "--c", "4", "--quad-size", "1200", "--delta", "0"],
+         "delta must be finite and positive"),
+        (["kernel", "--n", "2048", "--R", "nan"], "R must be finite and positive"),
+        (["kernel", "--R", "0"], "R must be finite and positive"),
+        (["sweep", "--n", "512", "--delta", "-1"], "delta must be finite and positive"),
+        (["sweep", "--delta", "inf"], "delta must be finite and positive"),
+    ])
+    def test_invalid_delta_or_R_exit_1_before_solving(self, args, message, capsys, monkeypatch):
+        def no_solve(spec):
+            raise AssertionError("solve called for an invalid configuration")
+
+        monkeypatch.setattr(cli, "solve", no_solve)
+        code, out, err = run_cli(args, capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"usage error: {message}\n"
 
     def test_unknown_probe_function_exit_1(self, capsys):
         assert run(RunConfig(command="sweep", N=32, quad_size=64, fn="x")) == EXIT_USAGE

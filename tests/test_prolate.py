@@ -16,6 +16,7 @@ from prolatesum.prolate import (
     Family,
     ProlateSpec,
     _free_spectrum,
+    _spectrum,
     build_galerkin,
     check_bounds,
     solve,
@@ -189,6 +190,21 @@ class TestSolve:
             assert np.max(np.abs(other)) == 0.0
         assert cpswf().parity is None
 
+    def test_repeated_eigenvalue_fails_the_merge(self, monkeypatch):
+        solve_leading = prolate._solve_leading
+
+        def repeated(b, k):
+            w, v = solve_leading(b, k)
+            w = w.copy()
+            w[1] = w[0]
+            return w, v
+
+        monkeypatch.setattr(prolate, "_solve_leading", repeated)
+        with pytest.raises(NumericsError, match="merged spectrum is not strictly increasing"):
+            gpswf(c=2.0, N=32)
+        for command in ("basis", "verify"):
+            assert cli_main([command, "--n", "32", "--quad-size", "64"]) == 3
+
     def test_c_monotone_perturbation(self):
         for c in (0.5, 2.0):
             es = gpswf(c=c, N=64)
@@ -269,10 +285,15 @@ class TestRetainedColumnsOnly:
             es, sizes = recorded_solve(spec)
         blocks = build_galerkin(spec)
         assert es.coeffs.shape == cols.shape
+        owner = es.parity if family is Family.GPSWF else np.zeros(es.n_retained, dtype=int)
         if family is Family.GPSWF:
             assert es.parity.tobytes() == parity.tobytes()
         else:
             assert es.parity is None
+        # the merge alone gives solve's chi and block tags, byte for byte
+        merged_chi, block = _spectrum(spec)[:2]
+        assert merged_chi.tobytes() == es.chi.tobytes()
+        assert block.tobytes() == owner.tobytes()
         if [s[-1] for s in sizes] == [b.diag.size for b in blocks]:
             # every block solved whole: tobytes also compares the signs of zero entries
             assert es.chi.tobytes() == chi.tobytes()
@@ -280,7 +301,6 @@ class TestRetainedColumnsOnly:
             return
         assert np.all(np.abs(es.chi - chi) <= 1e-13 * np.maximum(1.0, np.abs(chi)))
         assert np.max(np.abs(es.coeffs - cols)) <= 1e-12
-        owner = es.parity if family is Family.GPSWF else np.zeros(es.n_retained, dtype=int)
         for i, (b, s) in enumerate(zip(blocks, sizes)):
             assert not np.any(es.coeffs[b.rows][s[-1]:, owner == i])
 
