@@ -209,7 +209,11 @@ class EigenSystem:
 
         Raises NumericsError when the rule cannot resolve the retained modes:
         the quadrature norm sum_j w_j phi_n(y_j)^2 of one of the top min(8, m)
-        modes is off from 1 by more than RULE_NORM_TOL.
+        modes is off from 1 by more than RULE_NORM_TOL.  For GPSWF the message
+        names the exact rule size L + 1, L the last nonzero row of any
+        retained column: every retained mode is then a polynomial of degree
+        <= L, so an (L + 1)-node Gauss-Jacobi rule integrates each product of
+        two of them exactly.
         """
         if rule not in self._tables:
             table = self.mode_matrix(rule.nodes)
@@ -217,10 +221,14 @@ class EigenSystem:
             top = table[-min(8, self.n_retained):]
             gap = float(np.max(np.abs(top**2 @ rule.weights - 1.0)))
             if not gap <= RULE_NORM_TOL:
+                exact = ""
+                if self.spec.family is Family.GPSWF:
+                    last = np.flatnonzero(np.any(self.coeffs != 0, axis=1))[-1]
+                    exact = f" ({last + 1} nodes integrate every retained product exactly)"
                 raise NumericsError(
                     f"a {rule.size}-node rule does not resolve the {self.n_retained} "
                     f"retained modes: their quadrature norms are off by {gap:.3g} "
-                    f"(tolerance {RULE_NORM_TOL:g}); use more nodes or a smaller N"
+                    f"(tolerance {RULE_NORM_TOL:g}); use more nodes{exact} or a smaller N"
                 )
             self._tables[rule] = table
         return self._tables[rule]

@@ -1,8 +1,9 @@
 """Special functions and small linear-algebra kernels used by the rest of the package.
 
 Everything here is self-contained numerics: orthonormal Jacobi polynomials by
-three-term recurrence, Gauss-Jacobi rules by Golub-Welsch, a symmetric
-tridiagonal eigensolver (LAPACK *stemr*, MRRR), and Bessel J of real order.
+three-term recurrence, Gauss-Jacobi rules from recurrence-matrix eigenvalues
+polished by one Newton step (no eigenvectors), a symmetric tridiagonal
+eigensolver (LAPACK *stemr*, MRRR), and Bessel J of real order.
 """
 
 from __future__ import annotations
@@ -98,28 +99,70 @@ def jacobi_orthonormal_table(nmax: int, a: float, b: float, x) -> np.ndarray:
 
 
 def gauss_jacobi(size: int, a: float, b: float) -> QuadratureRule:
-    """Gauss-Jacobi rule by Golub-Welsch: nodes are eigenvalues of the
-    symmetric recurrence matrix, weights come from first eigenvector rows.
+    """Gauss-Jacobi rule of size nodes for the weight (1-x)^a (1+x)^b on (-1, 1).
 
-    MRRR returns each eigenvector on its support only, so a weight too small
-    to reach the first row comes back as exact 0; only those weights are
-    filled from the Christoffel function 1 / sum_k p_k(x_j)^2.
+    No eigenvector is formed.  The nodes start as eigenvalues of a recurrence
+    matrix (Golub & Welsch): for a == b the rule is mirror-symmetric and its
+    nonnegative nodes are sqrt((1+u)/2), u the eigenvalues of the size // 2
+    row (a, -1/2) matrix for even size, of the (a, +1/2) matrix plus an exact
+    0 node for odd size; for a != b the size-row (a, b) matrix is solved.
+    One streaming pass of the orthonormal recurrence at those nodes
+    (_newton_christoffel) then takes one Newton step on p_size and reads each
+    weight from the Christoffel function 1 / sum_{k<size} p_k^2 at the
+    polished node (Hale & Townsend 2013).  The nonnegative half of a
+    symmetric rule is mirrored exactly.
     """
     if size < 1:
         raise ValueError("size must be >= 1")
     if size > 100_000:
         raise ValueError("size larger than 1e5 not supported")
-    alpha, beta = jacobi_recurrence(size, a, b)
-    nodes, vecs = symtridiag_eigen(alpha, np.sqrt(beta[1:]))
-    weights = beta[0] * vecs[0] ** 2
-    lost = weights == 0
-    if np.any(lost):
-        weights[lost] = 1.0 / np.sum(jacobi_orthonormal_table(size, a, b, nodes[lost]) ** 2, axis=0)
-    if np.any(weights <= 0) or np.any(np.diff(nodes) <= 0):
-        raise NumericsError("Golub-Welsch produced an invalid rule")
+    if a == b:
+        half, odd = divmod(size, 2)
+        x = np.sqrt((1.0 + _recurrence_eigvals(half, a, 0.5 if odd else -0.5)) / 2.0)
+        if odd:
+            x = np.concatenate(([0.0], x))
+    else:
+        x = _recurrence_eigvals(size, a, b)
+    x, w = _newton_christoffel(size, a, b, x)
+    if a == b:  # the positive half mirrored, then the nonnegative one
+        nodes = np.concatenate((-x[odd:][::-1], x))
+        weights = np.concatenate((w[odd:][::-1], w))
+    else:
+        nodes, weights = x, w
+    if not (np.all(weights > 0) and np.all(np.diff(nodes) > 0)):
+        raise NumericsError("Gauss-Jacobi construction produced an invalid rule")
     if nodes[0] <= -1 or nodes[-1] >= 1:
         raise NumericsError("quadrature nodes escaped the open interval")
     return QuadratureRule(a=a, b=b, interval=(-1.0, 1.0), nodes=nodes, weights=weights)
+
+
+def _recurrence_eigvals(n: int, a: float, b: float) -> np.ndarray:
+    """Ascending eigenvalues of the n-row (a, b) Jacobi recurrence matrix,
+    the zeros of p_n (none for n = 0)."""
+    if n == 0:
+        return np.empty(0)
+    alpha, beta = jacobi_recurrence(n, a, b)
+    return symtridiag_eigen(alpha, np.sqrt(beta[1:]), eigvals_only=True)
+
+
+def _newton_christoffel(n: int, a: float, b: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One Newton step x - p_n(x) / p_n'(x) and the Christoffel weights
+    1 / sum_{k<n} p_k^2 at the stepped nodes, to first order in the step,
+    from one pass of the orthonormal (a, b) recurrence and its derivative:
+    O(len(x)) memory, no table of the p_k."""
+    alpha, beta = jacobi_recurrence(n + 1, a, b)
+    root = np.sqrt(beta)
+    p_prev, dp_prev = np.zeros_like(x), np.zeros_like(x)
+    p, dp = np.full_like(x, 1.0 / root[0]), np.zeros_like(x)
+    s, ds = np.zeros_like(x), np.zeros_like(x)  # sum p_k^2 and sum p_k p_k' over k < n
+    for k in range(n):
+        s += p * p
+        ds += p * dp
+        t = x - alpha[k]
+        p, p_prev = (t * p - root[k] * p_prev) / root[k + 1], p
+        dp, dp_prev = (p_prev + t * dp - root[k] * dp_prev) / root[k + 1], dp
+    step = p / dp
+    return x - step, 1.0 / (s - 2.0 * ds * step)
 
 
 def gauss_legendre_01(size: int) -> QuadratureRule:
@@ -138,11 +181,12 @@ def gauss_legendre_01(size: int) -> QuadratureRule:
 # symmetric tridiagonal eigensolver
 # ---------------------------------------------------------------------------
 
-def symtridiag_eigen(diag, offdiag) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a symmetric tridiagonal matrix.
+def symtridiag_eigen(diag, offdiag, eigvals_only: bool = False):
+    """Eigendecomposition of a symmetric tridiagonal matrix.
 
     Returns ascending eigenvalues and the orthonormal eigenvector matrix
-    (columns).  Backed by LAPACK *stemr*, the multiple relatively robust
+    (columns), or, with eigvals_only (as in scipy), the eigenvalues alone.
+    Backed by LAPACK *stemr*, the multiple relatively robust
     representations (MRRR) algorithm of Dhillon & Parlett: O(n^2) work for
     all n eigenpairs, against O(n^3) for QL/QR (*stev*), with orthogonality
     near n * eps.  Deterministic for a given input.
@@ -156,12 +200,11 @@ def symtridiag_eigen(diag, offdiag) -> tuple[np.ndarray, np.ndarray]:
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(offdiag))):
         raise ValueError("matrix entries must be finite")
     if diag.size == 1:
-        return diag.copy(), np.ones((1, 1))
+        return diag.copy() if eigvals_only else (diag.copy(), np.ones((1, 1)))
     try:
-        w, v = eigh_tridiagonal(diag, offdiag, lapack_driver="stemr")
+        return eigh_tridiagonal(diag, offdiag, eigvals_only=eigvals_only, lapack_driver="stemr")
     except LinAlgError as exc:
         raise NumericsError(f"tridiagonal eigensolver did not converge: {exc}") from exc
-    return w, v
 
 
 # ---------------------------------------------------------------------------

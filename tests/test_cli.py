@@ -180,8 +180,8 @@ class TestRuleResolution:
 
     @pytest.mark.parametrize("command", ["verify", "sweep"])
     def test_large_alpha_rule_with_tiny_weights_passes(self, command, tmp_path, capsys):
-        # MRRR leaves this rule's smallest weights as exact zeros; they are
-        # filled from the Christoffel function instead of failing the rule
+        # this rule's smallest weight is 1.8e-47, beyond what the first rows
+        # of MRRR eigenvectors resolve; the Christoffel weights keep it
         out = tmp_path / "a40.json"
         with pytest.warns(UserWarning, match="outside the convergence-theorem range"):
             code, _, _ = run_cli([command, "--family", "gpswf", "--alpha", "40", "--c", "4",

@@ -537,9 +537,21 @@ class TestRuleModes:
         es = solve(ProlateSpec(family=family, alpha=alpha, c=4.0, N=256))
         rule = es.default_rule(64)
         for _ in range(2):
-            with pytest.raises(NumericsError, match="64-node rule .* 128 retained modes"):
+            with pytest.raises(NumericsError, match="64-node rule .* 128 retained modes") as err:
                 es.rule_modes(rule)
         assert es._tables == {}
+        # only a GPSWF mode is a polynomial, so only its message names an exact rule size
+        assert ("integrate every retained product exactly" in str(err.value)) == (family == "gpswf")
+
+    def test_gpswf_message_names_the_exact_rule_size(self):
+        es = solve(ProlateSpec(family="gpswf", alpha=0.5, c=4.0, N=256))
+        last = max(np.flatnonzero(col)[-1] for col in es.coeffs.T)
+        with pytest.raises(NumericsError, match=f"use more nodes \\({last + 1} nodes integrate every"):
+            es.rule_modes(es.default_rule(64))
+        # that size resolves them: the retained Gram matrix is exact to rounding
+        rule = es.default_rule(int(last) + 1)
+        table = es.rule_modes(rule)
+        assert np.max(np.abs((table * rule.weights) @ table.T - np.eye(es.n_retained))) <= 1e-12
 
     def test_norm_gap_is_measured_on_the_top_modes(self):
         es = solve(ProlateSpec(family="gpswf", alpha=0.0, c=4.0, N=256))

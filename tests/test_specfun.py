@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import LinAlgError
 from scipy.special import jv
 
@@ -259,6 +261,46 @@ class TestGaussJacobi:
             gauss_jacobi(4, -1.0, 0.0)
 
 
+_EXPONENT = st.floats(-0.45, 30.0, exclude_min=True)
+
+
+class TestGaussJacobiProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(size=st.integers(1, 600),
+           ab=_EXPONENT.map(lambda a: (a, a)) | st.tuples(_EXPONENT, _EXPONENT))
+    def test_rule_invariants(self, size, ab):
+        a, b = ab
+        rule = gauss_jacobi(size, a, b)
+        nodes, weights = rule.nodes, rule.weights
+        assert nodes.size == weights.size == size
+        assert np.all(np.diff(nodes) > 0) and nodes[0] > -1 and nodes[-1] < 1
+        assert np.all(weights > 0)
+        mass = jacobi_recurrence(1, a, b)[1][0]
+        assert abs(math.fsum(weights) - mass) <= 1e-13 * mass
+        if size <= 300:
+            table = jacobi_orthonormal_table(size, a, b, nodes)
+            assert np.max(np.abs((table * weights) @ table.T - np.eye(size))) <= 1e-12
+        if a == b:
+            # the nonnegative half is mirrored exactly
+            assert np.all(nodes == -nodes[::-1])
+            assert weights.tobytes() == weights[::-1].tobytes()
+            if size % 2:
+                assert nodes[size // 2] == 0.0
+
+    @pytest.mark.parametrize("size,a,b,rows", [(64, 0.5, 0.5, 32), (65, 0.5, 0.5, 32), (513, 0.0, 0.0, 256),
+                                               (64, 1.2, -0.3, 64)])
+    def test_eigenvalues_only_on_half_the_rows_when_symmetric(self, monkeypatch, size, a, b, rows):
+        real, calls = specfun.eigh_tridiagonal, []
+
+        def spy(d, e, **kwargs):
+            calls.append((len(d), kwargs.get("eigvals_only", False)))
+            return real(d, e, **kwargs)
+
+        monkeypatch.setattr(specfun, "eigh_tridiagonal", spy)
+        gauss_jacobi(size, a, b)
+        assert calls == [(rows, True)]
+
+
 # ---------------------------------------------------------------------------
 # symtridiag_eigen
 # ---------------------------------------------------------------------------
@@ -324,8 +366,8 @@ def test_mass_and_weight_sum_at_large_alpha_against_mpmath(a, b, rel):
     assert abs(math.fsum(gauss_jacobi(8, a, b).weights) - mass) <= 2.5 * rel * mass
 
 
-# MRRR returns the first eigenvector rows of these rules' tiniest weights as
-# exact 0; gauss_jacobi fills them from the Christoffel function
+# rules whose smallest weights are tiny (6e-35 at (64, 40, 0)); eigenvector
+# first rows, which MRRR returns as exact 0 there, cannot give them
 LARGE_ALPHA_RULES = [(64, 40.0, 0.0), (64, 60.0, 0.0), (512, 20.0, 0.0), (512, 20.0, 20.0)]
 
 
@@ -365,30 +407,37 @@ def gauss_jacobi_oracle(n, a, b, guesses, dps=30):
     """Nodes and weights of the n-point Gauss-Jacobi rule at dps digits: the
     nodes are roots of P_n^(a,b) in its explicit binomial-sum form, refined
     from guesses, and the weights come from the classical formula
-    w_j = C / ((1 - x_j^2) P_n'(x_j)^2), P_n' = (n+a+b+1)/2 P_{n-1}^(a+1,b+1)."""
+    w_j = C / ((1 - x_j^2) P_n'(x_j)^2), P_n' = (n+a+b+1)/2 P_{n-1}^(a+1,b+1).
+    The sum's terms reach about 2^n, so it is evaluated with n/2 more
+    digits, its coefficients formed once per polynomial."""
     import mpmath as mp
 
-    def jacobi(k, a, b, x):
-        return mp.fsum(mp.binomial(k + a, k - s) * mp.binomial(k + b, s)
-                       * ((x - 1) / 2) ** s * ((x + 1) / 2) ** (k - s) for s in range(k + 1))
+    def jacobi(k, a, b):
+        coef = [mp.binomial(k + a, k - s) * mp.binomial(k + b, s) for s in range(k + 1)]
+        return lambda x: mp.fsum(c * ((x - 1) / 2) ** s * ((x + 1) / 2) ** (k - s)
+                                 for s, c in enumerate(coef))
 
-    with mp.workdps(dps):
+    with mp.workdps(dps + n // 2):
         a, b = mp.mpf(a), mp.mpf(b)
         const = (2 ** (a + b + 1) * mp.gamma(n + a + 1) * mp.gamma(n + b + 1)
                  / (mp.gamma(n + a + b + 1) * mp.factorial(n)))
+        p_n, q = jacobi(n, a, b), jacobi(n - 1, a + 1, b + 1)
         nodes, weights = [], []
         for guess in guesses:
-            x = mp.findroot(lambda t: jacobi(n, a, b, t), mp.mpf(float(guess)))
-            dp = (n + a + b + 1) / 2 * jacobi(n - 1, a + 1, b + 1, x)
+            x = mp.findroot(p_n, mp.mpf(float(guess)))
+            dp = (n + a + b + 1) / 2 * q(x)
             nodes.append(float(x))
             weights.append(float(const / ((1 - x * x) * dp * dp)))
     return np.array(nodes), np.array(weights)
 
 
 class TestMRRRGate:
-    @pytest.mark.parametrize("n", [1, 2, 5, 8])
-    @pytest.mark.parametrize("a,b", [(0.0, 0.0), (0.5, 0.5), (-0.4, 1.7), (3.0, 0.2)])
-    def test_gauss_jacobi_against_mpmath_oracle(self, n, a, b):
+    @pytest.mark.parametrize("a,b,n", [
+        *((a, b, n) for a, b in ((0.0, 0.0), (0.5, 0.5), (-0.4, 1.7), (3.0, 0.2)) for n in (1, 2, 5, 8)),
+        # mirrored half-size rules, odd and even
+        *((a, a, n) for a in (0.0, 0.5) for n in (3, 9, 64, 65)),
+    ])
+    def test_gauss_jacobi_against_mpmath_oracle(self, a, b, n):
         rule = gauss_jacobi(n, a, b)
         nodes, weights = gauss_jacobi_oracle(n, a, b, rule.nodes)
         assert np.max(np.abs(rule.nodes - nodes)) <= 1e-14
