@@ -90,10 +90,13 @@ def dyadic_piece(chi, cfg: RieszConfig, k: int):
     """
     if k < 1:
         raise ValueError("dyadic index k must be >= 1")
-    t = _gap(chi, cfg)
+    t = np.asarray(_gap(chi, cfg))
     with np.errstate(over="ignore"):
         scaled = np.ldexp(t, min(k, 2100))  # overflow to inf lands outside the bump support
-    out = t**cfg.delta * bump(scaled)
+    # only the open support (1/2, 2) is evaluated; t^delta * bump is +0.0 elsewhere
+    inside = (scaled > 0.5) & (scaled < 2.0)
+    out = np.zeros_like(t)
+    out[inside] = t[inside] ** cfg.delta * bump(scaled[inside])
     return float(out) if np.ndim(chi) == 0 else out
 
 

@@ -72,7 +72,10 @@ def jacobi_recurrence(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarra
         kk = k[1:]
         alpha[1:] = (b * b - a * a) / ((2 * kk + ab) * (2 * kk + ab + 2))
         s = 2 * kk + ab
-        beta[1:] = 4 * kk * (kk + a) * (kk + b) * (kk + ab) / (s * s * (s * s - 1))
+        with np.errstate(invalid="ignore"):  # 0/0 at k = 1 when a + b = -1
+            beta[1:] = 4 * kk * (kk + a) * (kk + b) * (kk + ab) / (s * s * (s * s - 1))
+        if ab == -1:  # the k = 1 entry with the factor k + a + b cancelled
+            beta[1] = 4 * (1 + a) * (1 + b) / ((ab + 2) ** 2 * (ab + 3))
     return alpha, beta
 
 

@@ -49,11 +49,32 @@ def sample_mode(es: EigenSystem, n: int, rule: QuadratureRule | None = None) -> 
     return SampledFunction(rule=rule, values=es.rule_modes(rule)[n])
 
 
+def _symmetric_kernel(x: np.ndarray, kernel) -> np.ndarray:
+    """The Q x Q matrix kernel(x_i, x_j) of a kernel symmetric in (x, y),
+    evaluated once per unordered pair i <= j and mirrored.
+
+    kernel takes the pairs' nodes as two flat arrays, the upper triangle in
+    row-major order.  Each transform kernel rounds a pair's argument the same
+    either way (x_i x_j = x_j x_i and |x_i - x_j| = |x_j - x_i| exactly), and
+    bessel_j, whose Miller start and loop exits depend on the whole set of
+    its arguments, sees the same set as on all Q^2 pairs: the matrix is bit
+    for bit the one from all Q^2 evaluations.
+    """
+    q = x.size
+    upper = np.triu(np.ones((q, q), dtype=bool))
+    grid = np.broadcast_to(x, (q, q))  # grid[i, j] = x_j, grid.T[i, j] = x_i
+    values = kernel(grid.T[upper], grid[upper])
+    K = np.empty((q, q), dtype=values.dtype)
+    K[upper] = values
+    K.T[upper] = values
+    return K
+
+
 def finite_fourier(alpha: float, c: float, f: SampledFunction) -> SampledFunction:
     """Weighted finite Fourier transform: x -> sum_j w_j e^{i c x y_j} f(y_j)."""
     require_family_grid(f.rule, Family.GPSWF, alpha, "finite_fourier")
-    x = f.rule.nodes
-    return SampledFunction(rule=f.rule, values=f.apply(np.exp(1j * c * np.outer(x, x))))
+    K = _symmetric_kernel(f.rule.nodes, lambda x, y: np.exp(1j * c * (x * y)))
+    return SampledFunction(rule=f.rule, values=f.apply(K))
 
 
 def bandlimit_kernel(alpha: float, t) -> np.ndarray:
@@ -82,8 +103,7 @@ def apply_Qc(alpha: float, c: float, f: SampledFunction) -> SampledFunction:
     Self-adjoint on L^2 of the weight; equals (c/2pi) F* F on that space.
     """
     require_family_grid(f.rule, Family.GPSWF, alpha, "apply_Qc")
-    x = f.rule.nodes
-    K = bandlimit_kernel(alpha, c * (x[:, None] - x[None, :]))
+    K = _symmetric_kernel(f.rule.nodes, lambda x, y: bandlimit_kernel(alpha, c * (x - y)))
     return SampledFunction(rule=f.rule, values=f.apply((c / (2 * pi)) * K))
 
 
@@ -94,9 +114,13 @@ def finite_hankel(alpha: float, c: float, f: SampledFunction) -> SampledFunction
     if c <= 0:
         raise ValueError("finite_hankel requires c > 0")
     require_family_grid(f.rule, Family.CPSWF, alpha, "finite_hankel")
-    x = f.rule.nodes
-    arg = c * np.outer(x, x)
-    return SampledFunction(rule=f.rule, values=f.apply(np.sqrt(arg) * bessel_j(alpha, arg)))
+
+    def kernel(x, y):
+        arg = c * (x * y)
+        return np.sqrt(arg) * bessel_j(alpha, arg)
+
+    K = _symmetric_kernel(f.rule.nodes, kernel)
+    return SampledFunction(rule=f.rule, values=f.apply(K))
 
 
 def family_transform(es: EigenSystem, f: SampledFunction) -> SampledFunction:

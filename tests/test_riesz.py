@@ -150,6 +150,21 @@ class TestDyadicPiece:
         with pytest.raises(ValueError):
             dyadic_piece(1.0, RieszConfig(R=10, delta=1), 0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(log_R=st.floats(-3.0, 9.0), delta=st.floats(0.1, 3.0), k=st.integers(1, 40),
+           fractions=st.lists(st.floats(0.0, 1.2), min_size=1, max_size=40))
+    def test_bit_identical_to_every_point_formula(self, log_R, delta, k, fractions):
+        # the piece evaluates t^delta * bump(2^k t) on the bump's open support
+        # only; everywhere else that product is +0.0 as well
+        cfg = RieszConfig(R=10.0**log_R, delta=delta)
+        chi = cfg.R * np.array(fractions)
+        t = np.maximum(1.0 - chi / cfg.R, 0.0)
+        expected = t**delta * bump(np.ldexp(t, k))
+        got = dyadic_piece(chi, cfg, k)
+        assert np.array_equal(got, expected) and not np.any(np.signbit(got))
+        scalar = dyadic_piece(float(chi[0]), cfg, k)
+        assert type(scalar) is float and scalar == expected[0]
+
     def test_decomposition_identity(self, es):
         rng = np.random.default_rng(17)
         for _ in range(10):

@@ -222,6 +222,14 @@ class TestGaussJacobi:
         mass = jacobi_moments(0, a, b)[0]
         assert np.sum(rule.weights) == pytest.approx(mass, rel=1e-12)
 
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 9, 64, 65])
+    def test_chebyshev_first_kind(self, size):
+        # a + b = -1: the recurrence's k = 1 coefficient is 0/0 in its general form
+        rule = gauss_jacobi(size, -0.5, -0.5)
+        k = np.arange(size, 0, -1)
+        assert np.max(np.abs(rule.nodes - np.cos((2 * k - 1) * np.pi / (2 * size)))) <= 1e-14
+        assert np.max(np.abs(rule.weights - np.pi / size)) <= 1e-14
+
     def test_x10_moment_against_recursion_oracle(self):
         rule = gauss_jacobi(8, 0.5, 0.5)
         got = np.sum(rule.weights * rule.nodes**10)
@@ -350,6 +358,14 @@ def test_recurrence_mass_matches_moment_oracle():
         assert beta[0] == pytest.approx(jacobi_moments(0, a, b)[0], rel=1e-14)
 
 
+@pytest.mark.parametrize("a,b", [(-0.5, -0.5), (-0.3, -0.7), (0.0, 0.0), (1.3, -0.2)])
+def test_second_coefficient_matches_moment_oracle(a, b):
+    # beta_1 = m_2/m_0 - alpha_0^2; at a + b = -1 the general formula is 0/0
+    m = jacobi_moments(2, a, b)
+    _, beta = jacobi_recurrence(3, a, b)
+    assert beta[1] == pytest.approx(m[2] / m[0] - (m[1] / m[0]) ** 2, rel=1e-13)
+
+
 @pytest.mark.parametrize("a,b,rel", [(20.0, 0.0, 2e-15), (60.0, 0.0, 2e-15), (20.0, 20.0, 2e-15),
                                      (60.0, 60.0, 2e-15), (84.5, 84.5, 2e-15), (150.0, 0.0, 2e-15),
                                      (100.0, 100.0, 1e-13)])
@@ -433,7 +449,8 @@ def gauss_jacobi_oracle(n, a, b, guesses, dps=30):
 
 class TestMRRRGate:
     @pytest.mark.parametrize("a,b,n", [
-        *((a, b, n) for a, b in ((0.0, 0.0), (0.5, 0.5), (-0.4, 1.7), (3.0, 0.2)) for n in (1, 2, 5, 8)),
+        *((a, b, n) for a, b in ((0.0, 0.0), (0.5, 0.5), (-0.4, 1.7), (3.0, 0.2), (-0.3, -0.7))
+          for n in (1, 2, 5, 8)),
         # mirrored half-size rules, odd and even
         *((a, a, n) for a in (0.0, 0.5) for n in (3, 9, 64, 65)),
     ])

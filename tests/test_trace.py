@@ -1,7 +1,8 @@
 """The benchmark's tracer binds prolatesum names and argument names
 (`EigenSystem.mode_matrix(x, check_domain)`, the transforms' `f`): run a tiny
 traced op of each traced kind so that a rename fails here, not at benchmark time.
-The verify spans also show that each transform builds one kernel per rule."""
+The verify spans also show that each transform builds one kernel per rule,
+evaluated once per unordered node pair."""
 
 import json
 import os
@@ -50,5 +51,7 @@ def test_traced_worker_op(args, expected, tmp_path):
         gpswf = "cpswf" not in args
         assert counts == {"finite_fourier": int(gpswf), "finite_hankel": int(not gpswf),
                           "apply_Qc": int(gpswf)}
+        # each symmetric kernel calls bessel_j once per unordered node pair, less
+        # the Q_c kernel's diagonal, which takes its t -> 0 limit without it
         points = sum(s.get("points", 0) for s in spans if s["name"] == "specfun.bessel_j")
-        assert 0 < points <= QUAD**2
+        assert points == (QUAD * (QUAD - 1) // 2 if gpswf else QUAD * (QUAD + 1) // 2)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import beta
 
 from prolatesum.prolate import Family, ProlateSpec, solve
 from prolatesum.riesz import expansion_coeffs
-from prolatesum.specfun import gauss_jacobi, gauss_legendre_01
+from prolatesum.specfun import bessel_j, gauss_jacobi, gauss_legendre_01
 from prolatesum.transforms import (
     SampledFunction,
     apply_Qc,
@@ -191,8 +193,6 @@ class TestFiniteHankel:
     def test_kernel_symmetry_exact(self):
         rule = gauss_legendre_01(16)
         x = rule.nodes
-        from prolatesum.specfun import bessel_j
-
         arg = 3.0 * np.outer(x, x)
         K = np.sqrt(arg) * bessel_j(0.5, arg)
         assert np.array_equal(K, K.T)
@@ -310,3 +310,36 @@ class TestCommutationWitness:
             comps = modes @ (rule.weights * g.values)
             others = np.abs(np.delete(comps, n))
             assert np.max(others) <= 1e-6 * abs(comps[n])
+
+
+def full_kernel(op, alpha, c, x):
+    """The kernel of op evaluated on all Q^2 node pairs, one outer product:
+    the reference for the once-per-pair construction."""
+    if op is finite_fourier:
+        return np.exp(1j * c * np.outer(x, x))
+    if op is apply_Qc:
+        return (c / (2 * np.pi)) * bandlimit_kernel(alpha, c * (x[:, None] - x[None, :]))
+    arg = c * np.outer(x, x)
+    return np.sqrt(arg) * bessel_j(alpha, arg)
+
+
+class TestKernelOncePerPair:
+    """Each transform kernel is evaluated once per unordered node pair and
+    mirrored, and equals the all-pairs kernel bit for bit: the arguments
+    c x y and c |x - y| reach bessel_j's series (x <= 9), Miller (9 < x < 18.5)
+    and Hankel-asymptotic (x >= 18.5) regimes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(op=st.sampled_from([finite_fourier, apply_Qc, finite_hankel]),
+           alpha=st.floats(0.0, 3.0), size=st.integers(1, 160), c=st.floats(0.5, 60.0),
+           rows=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    @example(op=apply_Qc, alpha=0.5, size=257, c=40.0, rows=3, seed=0)
+    @example(op=finite_hankel, alpha=2.7, size=200, c=60.0, rows=2, seed=1)
+    @example(op=finite_hankel, alpha=0.0, size=101, c=100.0, rows=1, seed=2)
+    @example(op=finite_fourier, alpha=1.0, size=129, c=30.0, rows=3, seed=3)
+    def test_bit_identical_to_all_pairs(self, op, alpha, size, c, rows, seed):
+        rule = gauss_legendre_01(size) if op is finite_hankel else gauss_jacobi(size, alpha, alpha)
+        values = np.random.default_rng(seed).standard_normal((rows, size))
+        f = SampledFunction(rule=rule, values=values[0] if rows == 1 else values)
+        expected = f.apply(full_kernel(op, alpha, c, rule.nodes))
+        assert np.array_equal(op(alpha, c, f).values, expected)
