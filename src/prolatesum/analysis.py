@@ -104,16 +104,6 @@ def _cluster_ratios(a: np.ndarray, chi: np.ndarray, m: float, M: float, g: float
     return num / (M ** (g / 2.0) * (M - m) ** 0.5 * norms)
 
 
-def cluster_ratio(f: SampledFunction, es: EigenSystem, m: float, M: float,
-                  p: float, table: ExponentTable) -> float:
-    """||sum_{chi_n in (m,M)} a_n phi_n||_2 normalized by
-    M^(gamma(p')/2) (M-m)^(1/2) ||f||_p; zero for an empty window."""
-    if not 1 < p <= 2:
-        raise ValueError("cluster bound applies for p in (1, 2]")
-    a = expansion_coeffs(f, es)
-    return float(_cluster_ratios(a, es.chi, m, M, table.gamma(dual_exponent(p)), lp_norm(f, p)))
-
-
 def calibrate_lemma1(es: EigenSystem, rule: QuadratureRule, p: float, table: ExponentTable,
                      n_probes: int = 50, seed: int = 0) -> tuple[float, np.ndarray]:
     """Cluster-bound constant over random polynomial probes of degree 1..20,

@@ -34,7 +34,9 @@ class UsageError(ValueError):
 @dataclass
 class RunConfig:
     """Fully resolved run parameters; embedded in every output file so a run
-    can be reproduced bit-for-bit from its artifact."""
+    can be reproduced bit-for-bit from its artifact.  A quad_size of None
+    asks for EigenSystem.default_rule's size; verify and sweep record the
+    size of the rule they build."""
 
     command: str
     family: str = "gpswf"
@@ -42,7 +44,7 @@ class RunConfig:
     c: float = 1.0
     N: int = 128
     keep_fraction: float = 0.5
-    quad_size: int = 512
+    quad_size: int | None = None
     p: float = 2.0
     delta: float = 1.0
     r_start: float | None = None
@@ -65,7 +67,7 @@ class RunConfig:
             raise UsageError("family must be gpswf or cpswf")
         if self.fmt not in ("json", "csv"):
             raise UsageError("format must be json or csv")
-        if self.quad_size < 8:
+        if self.quad_size is not None and self.quad_size < 8:
             raise UsageError("quadrature size must be >= 8")
         if not self.p >= 1:
             raise UsageError("p must be >= 1")
@@ -215,6 +217,7 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
     if es.n_retained < 3:
         raise UsageError(f"verify needs at least 3 retained modes, have {es.n_retained}")
     rule = es.default_rule(cfg.quad_size)
+    cfg.quad_size = rule.size  # the artifact records the rule the run used
     rng = np.random.default_rng(cfg.seed)
     checks = []
 
@@ -347,6 +350,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
         raise UsageError(f"r_start must exceed chi_0 = {float(es.chi[0])!r}, the smallest eigenvalue")
     R_grid = np.geomspace(r_start, r_stop, cfg.r_count)
     rule = es.default_rule(cfg.quad_size)
+    cfg.quad_size = rule.size  # the artifact records the rule the run used
     f = transforms.SampledFunction(rule=rule, values=_fn_values(cfg.fn, rule.nodes))
     report = analysis.convergence_sweep(f, es, cfg.p, cfg.delta, R_grid)
     probes = analysis.boundary_probes(es, rule, seed=cfg.seed)
@@ -428,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--quad-size", type=int)
 
     def add_io_args(sp):
-        sp.add_argument("--seed", type=int)
         sp.add_argument("--output")
         sp.add_argument("--format", choices=["json", "csv"], dest="fmt")
 
@@ -437,10 +440,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run the aggregated verification battery")
     add_family_args(sp); add_io_args(sp)
+    sp.add_argument("--seed", type=int)
     sp.add_argument("--delta", type=float)
 
     sp = sub.add_parser("sweep", help="convergence sweep over a geometric R grid")
     add_family_args(sp); add_io_args(sp)
+    sp.add_argument("--seed", type=int)
     sp.add_argument("--p", type=float)
     sp.add_argument("--delta", type=float)
     sp.add_argument("--r-start", type=float)

@@ -74,7 +74,7 @@ def jacobi_recurrence(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarra
         s = 2 * kk + ab
         with np.errstate(invalid="ignore"):  # 0/0 at k = 1 when a + b = -1
             beta[1:] = 4 * kk * (kk + a) * (kk + b) * (kk + ab) / (s * s * (s * s - 1))
-        if ab == -1:  # the k = 1 entry with the factor k + a + b cancelled
+        if abs(ab + 1) < 0.5:  # the k = 1 entry with s^2 - 1 = (a+b+1)(a+b+3) cancelled
             beta[1] = 4 * (1 + a) * (1 + b) / ((ab + 2) ** 2 * (ab + 3))
     return alpha, beta
 
@@ -216,6 +216,7 @@ def symtridiag_eigen(diag, offdiag, eigvals_only: bool = False):
 
 _SERIES_CUT = 9.0
 _ASYM_CUT = 18.5
+_LOG_MAX = log(np.finfo(float).max)  # np.exp overflows exactly above this
 
 
 def _bessel_series(order: float, x: np.ndarray) -> np.ndarray:
@@ -288,7 +289,11 @@ def _bessel_miller(order: float, x: np.ndarray) -> np.ndarray:
             if frac == 0.0:
                 norm = norm + (2.0 if k > 0 else 1.0) * jc
             else:
-                norm = norm + (frac + 2 * k) * np.exp(lgamma(frac + k) - lgamma(k + 1.0)) * jc
+                lg = lgamma(frac + k) - lgamma(k + 1.0)
+                # exp(lg) = Gamma(frac) overflows at k = 0 once frac < 5.6e-309;
+                # the term frac Gamma(frac) is Gamma(1 + frac) there
+                weight = gamma(1.0 + frac) if lg > _LOG_MAX else (frac + 2 * k) * np.exp(lg)
+                norm = norm + weight * jc
         big = np.abs(jc) > 1e250
         if np.any(big):
             for arr in (jp, jc, norm, target, t0, t1):

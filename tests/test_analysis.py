@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prolatesum.analysis import (
+    _cluster_ratios,
     boundary_probes,
     calibrate_b1,
     calibrate_lemma1,
-    cluster_ratio,
     convergence_sweep,
     eigenvalue_count,
     JacobiApproxResult,
@@ -23,7 +23,7 @@ from prolatesum.analysis import (
 from prolatesum.cli import _json_text
 from prolatesum.cli import main as cli_main
 from prolatesum.prolate import EigenSystem, Family, ProlateSpec, solve
-from prolatesum.riesz import ExponentTable, RieszConfig, riesz_mean, riesz_weight
+from prolatesum.riesz import ExponentTable, RieszConfig, expansion_coeffs, riesz_mean, riesz_weight
 from prolatesum.specfun import jacobi_orthonormal_table
 from prolatesum.transforms import SampledFunction, sample_mode
 
@@ -154,41 +154,39 @@ class TestEigenvalueCount:
 
 
 class TestClusterRatio:
+    @staticmethod
+    def _ratio(f, es, m, M):
+        # ||sum_{chi_n in (m, M)} a_n phi_n||_2 / (M^(gamma(2)/2) (M - m)^(1/2) ||f||_2),
+        # the window ratio that calibrate_lemma1 maximises
+        g = ExponentTable(Family.GPSWF, 0.0).gamma(2.0)
+        return float(_cluster_ratios(expansion_coeffs(f, es), es.chi, m, M, g, lp_norm(f, 2.0)))
+
     def test_single_mode_p2(self, es, rule):
         j = 5
         f = sample_mode(es, j, rule=rule)
         m, M = es.chi[j] - 1.0, es.chi[j] + 1.0
-        table = ExponentTable(Family.GPSWF, 0.0)
-        r = cluster_ratio(f, es, m, M, 2.0, table)
+        r = self._ratio(f, es, m, M)
         assert r == pytest.approx(1.0 / np.sqrt(M - m), abs=1e-8)
         assert r <= 1.0 + 1e-10
 
     def test_empty_window(self, es, rule):
         f = sample_mode(es, 0, rule=rule)
-        table = ExponentTable(Family.GPSWF, 0.0)
-        assert cluster_ratio(f, es, es.chi[3] + 0.1, es.chi[3] + 0.2, 2.0, table) == 0.0
+        assert self._ratio(f, es, es.chi[3] + 0.1, es.chi[3] + 0.2) == 0.0
 
     def test_p2_never_exceeds_one(self, es, rule):
         # windows of width >= 2 (the counting hypothesis needs M - m > 1)
-        table = ExponentTable(Family.GPSWF, 0.0)
         rng = np.random.default_rng(3)
         f = SampledFunction(rule=rule, values=rng.standard_normal(rule.size))
         for _ in range(50):
             w = float(rng.uniform(2.0, 50.0))
             m = float(rng.uniform(0.0, es.certified_max - w))
-            assert cluster_ratio(f, es, m, m + w, 2.0, table) <= 1.0 + 1e-10
+            assert self._ratio(f, es, m, m + w) <= 1.0 + 1e-10
 
     def test_probe_sweep_no_blowup(self, es):
         table = ExponentTable(Family.GPSWF, 0.0)
         cmax, per_probe = calibrate_lemma1(es, es.default_rule(), 1.5, table, n_probes=50, seed=9)
         assert np.isfinite(cmax) and cmax > 0
         assert cmax <= 10.0 * np.median(per_probe)
-
-    def test_p_range(self, es, rule):
-        f = sample_mode(es, 0, rule=rule)
-        table = ExponentTable(Family.GPSWF, 0.0)
-        with pytest.raises(ValueError):
-            cluster_ratio(f, es, 0.0, 5.0, 3.0, table)
 
 
 class TestConvergenceSweep:

@@ -53,7 +53,7 @@ class TestBasis:
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         out = tmp_path / "a.json"
-        args = ["basis", "--n", "32", "--c", "2.5", "--seed", "7", "--output", str(out)]
+        args = ["basis", "--n", "32", "--c", "2.5", "--output", str(out)]
         assert main(args) == 0
         first = out.read_bytes()
         assert main(args) == 0
@@ -164,7 +164,7 @@ class TestTruncationRefinement:
 
 class TestRuleResolution:
     @pytest.mark.parametrize("args,nodes,modes", [
-        (["--n", "2048", "--c", "4", "--p", "2"], 512, 1024),
+        (["--n", "2048", "--c", "4", "--p", "2", "--quad-size", "512"], 512, 1024),
         (["--family", "cpswf", "--alpha", "0.5", "--n", "256", "--quad-size", "64"], 64, 128),
         # fewer modes than nodes, yet x^(2 alpha + 1) defeats the Gauss-Legendre rule
         (["--family", "cpswf", "--alpha", "0.5", "--c", "4", "--n", "1024",
@@ -190,6 +190,23 @@ class TestRuleResolution:
         results = json.loads(out.read_text())["results"]
         if command == "verify":
             assert results["n_pass"] == results["n_checks"]
+
+    @pytest.mark.parametrize("args,nodes", [(["sweep", "--n", "2048", "--c", "4"], 2048),
+                                            (["verify", "--n", "1024", "--c", "20"], 1024),
+                                            (["verify", "--n", "64"], 512)])
+    def test_default_rule_resolves_and_is_recorded(self, args, nodes, tmp_path, capsys):
+        # with no --quad-size the rule has the library's max(512, N) nodes
+        out = tmp_path / "a.json"
+        code, _, err = run_cli([*args, "--output", str(out)], capsys)
+        assert code == 0, err
+        assert json.loads(out.read_text())["config"]["quad_size"] == nodes
+
+    @pytest.mark.parametrize("args", [["basis", "--n", "16"], ["kernel", "--n", "16"],
+                                      ["exponents", "--p", "2"]])
+    def test_commands_without_a_rule_record_none(self, args, tmp_path, capsys):
+        out = tmp_path / "a.json"
+        assert run_cli([*args, "--output", str(out)], capsys)[0] == 0
+        assert json.loads(out.read_text())["config"]["quad_size"] is None
 
     def test_resolved_rule_passes(self, tmp_path, capsys):
         out = tmp_path / "sweep.json"
@@ -395,6 +412,13 @@ class TestExponents:
 class TestErrors:
     def test_usage_error_exit_1(self, capsys):
         assert main(["sweep", "--n", "not-a-number"]) == 1
+
+    @pytest.mark.parametrize("command", ["basis", "kernel", "exponents"])
+    def test_seed_only_where_something_is_drawn(self, command, capsys):
+        code, out, err = run_cli([command, "--seed", "1"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "usage error: unrecognized arguments: --seed 1\n"
 
     @pytest.mark.parametrize("args,message", [(["--quad-size", "4"], "quadrature size must be >= 8"),
                                               (["--r-count", "1"], "R grid needs at least 2 points")])

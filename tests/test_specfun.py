@@ -143,6 +143,17 @@ class TestBesselJ:
             ref = np.array([float(mp.besselj(400, mp.mpf(v))) for v in x])
         assert np.max(np.abs(bessel_j(400, x) / ref - 1.0)) <= 1e-14
 
+    @pytest.mark.parametrize("order", [5e-324, 2.2e-311, 1e-310, 5.5e-309, 1e-308, 1e-300])
+    def test_miller_at_subnormal_orders_against_mpmath(self, order):
+        # the Neumann series' k = 0 weight is Gamma(1 + frac); frac Gamma(frac)
+        # overflows below frac = 5.6e-309 and once zeroed these values
+        import mpmath as mp
+
+        x = np.array([9.25, 12.0, 18.0])
+        with mp.workdps(40):
+            ref = np.array([float(mp.besselj(mp.mpf(order), mp.mpf(v))) for v in x])
+        assert np.max(np.abs(bessel_j(order, x) - ref)) <= 1e-14
+
     def test_rejections(self):
         with pytest.raises(ValueError):
             bessel_j(0, -1.0)
@@ -451,6 +462,8 @@ class TestMRRRGate:
     @pytest.mark.parametrize("a,b,n", [
         *((a, b, n) for a, b in ((0.0, 0.0), (0.5, 0.5), (-0.4, 1.7), (3.0, 0.2), (-0.3, -0.7))
           for n in (1, 2, 5, 8)),
+        # a + b near -1, where beta_1's general form loses about ten digits
+        *((a, a, n) for a in (-0.4999999999, -0.49999) for n in (2, 5, 8, 9)),
         # mirrored half-size rules, odd and even
         *((a, a, n) for a in (0.0, 0.5) for n in (3, 9, 64, 65)),
     ])

@@ -337,6 +337,8 @@ class TestKernelOncePerPair:
     @example(op=finite_hankel, alpha=2.7, size=200, c=60.0, rows=2, seed=1)
     @example(op=finite_hankel, alpha=0.0, size=101, c=100.0, rows=1, seed=2)
     @example(op=finite_fourier, alpha=1.0, size=129, c=30.0, rows=3, seed=3)
+    # a subnormal order: Miller's Neumann weight once overflowed here
+    @example(op=finite_hankel, alpha=2.2e-311, size=64, c=37.0, rows=2, seed=4)
     def test_bit_identical_to_all_pairs(self, op, alpha, size, c, rows, seed):
         rule = gauss_legendre_01(size) if op is finite_hankel else gauss_jacobi(size, alpha, alpha)
         values = np.random.default_rng(seed).standard_normal((rows, size))
