@@ -85,8 +85,9 @@ class ProlateSpec:
         object.__setattr__(self, "family", Family(self.family))
         if not np.isfinite(self.alpha) or self.alpha <= -0.5:
             raise ValueError("alpha must be finite and > -1/2")
-        if not np.isfinite(self.c) or self.c < 0:
-            raise ValueError("bandwidth c must be finite and >= 0")
+        # c * c enters every Galerkin block, so it must be finite too (c <= 1.34e154)
+        if not (np.isfinite(float(self.c) * float(self.c)) and self.c >= 0):
+            raise ValueError("bandwidth c must be >= 0 with a finite square c*c")
         if int(self.N) != self.N or self.N < 4:
             raise ValueError("truncation order N must be an integer >= 4")
         if not 0.0 < self.keep_fraction <= 1.0:

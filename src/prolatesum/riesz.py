@@ -30,49 +30,49 @@ class RieszConfig:
 
 
 def _gap(chi, cfg: RieszConfig) -> np.ndarray:
-    """t = (1 - chi/R)_+, the variable of the weight and of its dyadic pieces."""
-    return np.maximum(1.0 - np.asarray(chi, dtype=float) / cfg.R, 0.0)
+    """t = 1 - chi/R clipped to [0, 1], the variable of the weight and of its
+    dyadic pieces."""
+    return np.clip(1.0 - np.asarray(chi, dtype=float) / cfg.R, 0.0, 1.0)
 
 
 def riesz_weight(chi, cfg: RieszConfig):
-    """(1 - chi/R)^delta for chi < R, zero beyond; values in [0, 1]."""
+    """(1 - chi/R)^delta for 0 <= chi < R, 1 below and zero beyond; values in
+    [0, 1]."""
     out = _gap(chi, cfg) ** cfg.delta
     return float(out) if np.ndim(chi) == 0 else out
 
 
 # ---------------------------------------------------------------------------
-# smooth dyadic partition of unity
+# smooth dyadic partition of unity, all from the one cutoff phi_0
 # ---------------------------------------------------------------------------
 
-def _smooth_step(u):
-    """C^inf step: 0 for u <= 0, 1 for u >= 1, e(u)/(e(u)+e(1-u)) between,
-    with e(u) = exp(-1/u)."""
-    u = np.asarray(u, dtype=float)
-    with np.errstate(divide="ignore", over="ignore"):
-        eu = np.where(u > 0, np.exp(-1.0 / np.where(u > 0, u, 1.0)), 0.0)
-        ev = np.where(1 - u > 0, np.exp(-1.0 / np.where(1 - u > 0, 1 - u, 1.0)), 0.0)
-    return eu / (eu + ev)
+def bump_zero(t):
+    """phi_0(t) = S(2t - 1), with S(u) = e(u)/(e(u) + e(1-u)) and
+    e(u) = exp(-1/u): 0 for t <= 1/2, 1 for t >= 1, NaN for NaN.
 
-
-def bump(t):
-    """Smooth bump supported exactly on [1/2, 2] with bump(1) = 1.
-
-    Built so that bump(t) + bump(2t) = 1 holds exactly in floating point on
-    [1/2, 1], which makes sum_k bump(2^k t) = 1 exact for every t > 0.
+    The exps are taken only where 0 < 2t - 1 < 1, so the two calls in bump
+    spend them on disjoint halves of its support.
     """
-    t_arr = np.asarray(t, dtype=float)
-    rising = (t_arr >= 0.5) & (t_arr <= 1.0)
-    falling = (t_arr > 1.0) & (t_arr <= 2.0)
-    out = np.zeros_like(t_arr)
-    out[rising] = _smooth_step(2.0 * t_arr[rising] - 1.0)
-    out[falling] = 1.0 - _smooth_step(t_arr[falling] - 1.0)
+    u = 2.0 * np.asarray(t, dtype=float) - 1.0
+    out = np.where(u <= 0.0, 0.0, np.minimum(u, 1.0))
+    mid = (u > 0.0) & (u < 1.0)
+    eu, ev = np.exp(-1.0 / u[mid]), np.exp(-1.0 / (1.0 - u[mid]))
+    out[mid] = eu / (eu + ev)
     return float(out) if np.ndim(t) == 0 else out
 
 
-def bump_zero(t):
-    """phi_0(t) = 1 - sum_{k>=1} bump(2^k t) = S(2t - 1), S the smooth step:
-    0 for t <= 1/2, 1 for t >= 1, and 1 - bump(2t) between."""
-    out = _smooth_step(2.0 * np.asarray(t, dtype=float) - 1.0)
+def bump(t):
+    """psi(t) = phi_0(t) - phi_0(t/2): smooth, supported on [1/2, 2], with
+    psi(1) = 1.
+
+    For t in [1/2, 1] the only nonzero terms of sum_k bump(2^k t) are
+    bump(t) = phi_0(t) and bump(2t) = 1 - phi_0(t), so the sum is 1 to
+    rounding for every t > 0.
+    """
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    inside = (t > 0.5) & (t < 2.0)  # the open support; +0.0 elsewhere
+    out[inside] = bump_zero(t[inside]) - bump_zero(t[inside] / 2.0)
     return float(out) if np.ndim(t) == 0 else out
 
 
@@ -83,13 +83,14 @@ def dyadic_cutoff(cfg: RieszConfig) -> int:
 
 
 def dyadic_piece(chi, cfg: RieszConfig, k: int):
-    """Localized multiplier (1 - chi/R)_+^delta * bump(2^k (1 - chi/R)).
+    """Localized multiplier t^delta * bump(2^k t), t = 1 - chi/R clipped to
+    [0, 1], bounded by 2^delta 2^{-k delta}.
 
-    Supported in chi inside (R(1 - 2^{1-k}), R(1 - 2^{-k-1})) and bounded by
-    2^delta 2^{-k delta}.
+    Piece k = 0 is the head t^delta phi_0(t), since bump = phi_0 on t <= 1.
+    Piece k >= 1 is supported in chi inside (R(1 - 2^{1-k}), R(1 - 2^{-k-1})).
     """
-    if k < 1:
-        raise ValueError("dyadic index k must be >= 1")
+    if k < 0:
+        raise ValueError("dyadic index k must be >= 0")
     t = np.asarray(_gap(chi, cfg))
     with np.errstate(over="ignore"):
         scaled = np.ldexp(t, min(k, 2100))  # overflow to inf lands outside the bump support
@@ -100,16 +101,9 @@ def dyadic_piece(chi, cfg: RieszConfig, k: int):
     return float(out) if np.ndim(chi) == 0 else out
 
 
-def bump_zero_piece(chi, cfg: RieszConfig):
-    """Head of the decomposition: phi_0(1 - chi/R) (1 - chi/R)_+^delta."""
-    t = _gap(chi, cfg)
-    out = t**cfg.delta * bump_zero(t)
-    return float(out) if np.ndim(chi) == 0 else out
-
-
 def dyadic_tail(chi, cfg: RieszConfig):
     """Sum of the dyadic pieces k > K = dyadic_cutoff(cfg), in closed form:
-    sum_{k>K} bump(2^k t) = 1 - phi_0(2^K t) for t = (1 - chi/R)_+."""
+    sum_{k>K} bump(2^k t) = 1 - phi_0(2^K t)."""
     t = _gap(chi, cfg)
     with np.errstate(over="ignore"):  # K = 1024 only for R near the float max; phi_0(inf) = 1
         out = t**cfg.delta * (1.0 - bump_zero(np.ldexp(t, dyadic_cutoff(cfg))))

@@ -23,7 +23,6 @@ from prolatesum.riesz import (
     ExponentTable,
     RieszConfig,
     bump,
-    bump_zero_piece,
     dyadic_cutoff,
     dyadic_piece,
     dyadic_tail,
@@ -130,7 +129,7 @@ def test_criterion_05_dyadic_machinery(es_g01):
         R = float(rng.uniform(es_g01.chi[2], es_g01.certified_max))
         d = float(rng.uniform(0.1, 3.0))
         cfg = RieszConfig(R=R, delta=d)
-        total = bump_zero_piece(es_g01.chi, cfg)
+        total = dyadic_piece(es_g01.chi, cfg, 0)
         for k in range(1, dyadic_cutoff(cfg) + 1):
             total = total + dyadic_piece(es_g01.chi, cfg, k)
         total = total + dyadic_tail(es_g01.chi, cfg)

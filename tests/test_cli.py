@@ -104,6 +104,15 @@ class TestVerify:
         assert [w.category for w in caught] == [UserWarning]
         assert "outside the convergence-theorem range" in str(caught[0].message)
 
+    def test_sup_bound_keeps_pieces_that_underflow(self, tmp_path, capsys):
+        # at delta = 200 the bound 2^{delta(1-k)} of the last pieces underflows
+        # to 0, and so do the pieces: they meet it and read 0, with no 0/0
+        out = tmp_path / "v.json"
+        code, _, _ = run_cli(["verify", "--n", "64", "--delta", "200", "--output", str(out)], capsys)
+        assert code == 0
+        check = {c["name"]: c for c in json.loads(out.read_text())["checks"]}["dyadic_piece_sup_bound"]
+        assert check["pass"] and 0.0 < check["value"] <= 1.0
+
     def test_csv_is_three_json_lines(self, capsys):
         code, out, _ = run_cli(["verify", "--n", "16", "--quad-size", "32", "--format", "csv"], capsys)
         assert code == 0
@@ -495,6 +504,7 @@ class TestNanArguments:
         ["exponents", "--family", "gpswf", "--alpha", "nan", "--p", "2"],
         ["exponents", "--p-stop", "inf", "--p-count", "3"],
         ["exponents", "--p-start", "nan"],
+        ["basis", "--n", "64", "--c", "1e200"],  # c * c overflows
     ])
     def test_exit_1(self, args, tmp_path, capsys):
         out = tmp_path / "x.json"

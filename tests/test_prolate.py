@@ -38,9 +38,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ProlateSpec(family="gpswf", alpha=-0.5, c=1.0, N=16)
 
-    def test_rejects_bad_c(self):
-        with pytest.raises(ValueError):
-            ProlateSpec(family="gpswf", alpha=0.0, c=-1.0, N=16)
+    @pytest.mark.parametrize("c", [-1.0, 1.35e154, 1e200, np.float64(1e300), np.inf, np.nan])
+    def test_rejects_bad_c(self, c):
+        # c * c enters every Galerkin block, so its square must be finite too
+        with pytest.raises(ValueError, match="bandwidth c"):
+            ProlateSpec(family="gpswf", alpha=0.0, c=c, N=16)
+        assert ProlateSpec(family="gpswf", alpha=0.0, c=1.34e154, N=16).c == 1.34e154
 
     def test_rejects_small_N(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from prolatesum.riesz import (
     RieszConfig,
     bump,
     bump_zero,
-    bump_zero_piece,
     delta_threshold,
     dual_exponent,
     dyadic_cutoff,
@@ -74,6 +74,23 @@ class TestRieszWeight:
             RieszConfig(R=np.inf, delta=1.0)
 
 
+def _two_branch_bump(t):
+    # the rising/falling form of bump, S(2t - 1) on [1/2, 1] and
+    # 1 - S(t - 1) on (1, 2], kept as the reference for phi_0(t) - phi_0(t/2)
+    def step(u):
+        with np.errstate(divide="ignore", over="ignore"):
+            eu = np.where(u > 0, np.exp(-1.0 / np.where(u > 0, u, 1.0)), 0.0)
+            ev = np.where(1 - u > 0, np.exp(-1.0 / np.where(1 - u > 0, 1 - u, 1.0)), 0.0)
+        return eu / (eu + ev)
+
+    rising = (t >= 0.5) & (t <= 1.0)
+    falling = (t > 1.0) & (t <= 2.0)
+    out = np.zeros_like(t)
+    out[rising] = step(2.0 * t[rising] - 1.0)
+    out[falling] = 1.0 - step(t[falling] - 1.0)
+    return out
+
+
 class TestBump:
     def test_peak(self):
         assert bump(1.0) == 1.0
@@ -106,6 +123,19 @@ class TestBump:
         # C^inf construction: values agree closely around t = 1
         eps = 1e-8
         assert abs(bump(1.0 - eps) - bump(1.0 + eps)) <= 1e-7
+
+    def test_bit_equal_to_the_two_branch_form(self):
+        edges = np.array([0.5, 1.0, 2.0])
+        rng = np.random.default_rng(8)
+        t = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 3.0),
+                            [-np.inf, -1.0, -0.0, 0.0, 5e-324, 1e-310, np.inf],
+                            rng.uniform(0.0, 2.5, 100_000),
+                            np.ldexp(rng.uniform(0.5, 1.0, 20_000), rng.integers(-60, 60, 20_000))])
+        got = bump(t)
+        assert got.tobytes() == _two_branch_bump(t).tobytes()
+        assert not np.any(np.signbit(got))
+        for x in t[:16]:
+            assert type(bump(float(x))) is float and bump(float(x)) == _two_branch_bump(np.array([x]))[0]
 
 
 class TestBumpZero:
@@ -146,9 +176,16 @@ class TestDyadicPiece:
             sup = np.max(np.abs(dyadic_piece(grid, cfg, k)))
             assert sup <= 2.0**cfg.delta * 2.0 ** (-k * cfg.delta)
 
-    def test_rejects_k0(self):
-        with pytest.raises(ValueError):
-            dyadic_piece(1.0, RieszConfig(R=10, delta=1), 0)
+    @pytest.mark.parametrize("R,delta", [(0.3, 0.7), (10.0, 1.0), (700.0, 2.7)])
+    def test_head_is_piece_zero_and_negative_k_raises(self, R, delta):
+        # piece 0 is the head t^delta phi_0(t), bit for bit, for every chi >= 0
+        cfg = RieszConfig(R=R, delta=delta)
+        chi = R * np.concatenate([[0.0, 0.5, 0.75, 1.0, 2.0],
+                                  np.random.default_rng(5).uniform(0.0, 1.2, 5000)])
+        t = np.maximum(1.0 - chi / R, 0.0)
+        assert dyadic_piece(chi, cfg, 0).tobytes() == (t**delta * bump_zero(t)).tobytes()
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            dyadic_piece(1.0, cfg, -1)
 
     @settings(max_examples=200, deadline=None)
     @given(log_R=st.floats(-3.0, 9.0), delta=st.floats(0.1, 3.0), k=st.integers(1, 40),
@@ -171,7 +208,7 @@ class TestDyadicPiece:
             R = float(rng.uniform(es.chi[2], es.certified_max))
             d = float(rng.uniform(0.1, 3.0))
             cfg = RieszConfig(R=R, delta=d)
-            total = bump_zero_piece(es.chi, cfg)
+            total = dyadic_piece(es.chi, cfg, 0)
             for k in range(1, dyadic_cutoff(cfg) + 1):
                 total = total + dyadic_piece(es.chi, cfg, k)
             total = total + dyadic_tail(es.chi, cfg)
@@ -181,7 +218,7 @@ class TestDyadicPiece:
     def test_head_is_weight_for_chi_well_inside(self):
         # for chi <= 0 distance: t >= 1 means only the head survives
         cfg = RieszConfig(R=10.0, delta=1.3)
-        assert bump_zero_piece(0.0, cfg) == pytest.approx(1.0)
+        assert dyadic_piece(0.0, cfg, 0) == pytest.approx(1.0)
         assert dyadic_tail(0.0, cfg) == 0.0
 
 
@@ -203,7 +240,7 @@ class TestDyadicClosedForm:
     def test_head_pieces_and_tail_sum_to_the_weight(self, log_R, delta, fractions):
         cfg = RieszConfig(R=10.0**log_R, delta=delta)
         chi = cfg.R * np.array(fractions)
-        total = bump_zero_piece(chi, cfg)
+        total = dyadic_piece(chi, cfg, 0)
         for k in range(1, dyadic_cutoff(cfg) + 1):
             total = total + dyadic_piece(chi, cfg, k)
         tail = dyadic_tail(chi, cfg)
@@ -213,7 +250,7 @@ class TestDyadicClosedForm:
 
     def test_tail_below_radius_one(self):
         cfg = RieszConfig(R=0.5, delta=1.0)
-        assert abs(dyadic_tail(0.1, cfg) - (0.8 - bump_zero_piece(0.1, cfg))) <= 1e-16
+        assert abs(dyadic_tail(0.1, cfg) - (0.8 - dyadic_piece(0.1, cfg, 0))) <= 1e-16
 
     def test_cutoff_is_never_negative(self):
         for R, K in [(1e-3, 0), (0.5, 0), (1.0, 0), (1.99, 0), (2.0, 1), (1000.0, 9), (1024.0, 10)]:
@@ -234,6 +271,23 @@ class TestDyadicClosedForm:
         assert bump_zero(t).tobytes() == masked(t).tobytes()
         t = np.random.default_rng(3).uniform(0.0, 1.5, 100_000)
         assert np.max(np.abs(bump_zero(t) - masked(t))) <= 1.2e-16
+
+    def test_nan_is_nan_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(bump_zero(np.nan))
+            assert np.isnan(bump_zero(np.array([0.7, np.nan, 2.0]))[1])
+
+    @pytest.mark.parametrize("R,delta", [(0.5, 1.0), (10.0, 0.4), (3e5, 2.7)])
+    def test_negative_chi_has_weight_one(self, R, delta):
+        # t = 1 - chi/R is clipped to [0, 1]: below chi = 0 the weight is 1,
+        # and the head alone carries it
+        cfg = RieszConfig(R=R, delta=delta)
+        chi = -R * np.array([1e-300, 0.5, 1.0, 7.0, 1e300])
+        assert np.all(riesz_weight(chi, cfg) == 1.0)
+        assert riesz_weight(-R, cfg) == 1.0
+        total = sum(dyadic_piece(chi, cfg, k) for k in range(dyadic_cutoff(cfg) + 1))
+        assert np.all(total + dyadic_tail(chi, cfg) == 1.0)
 
 
 class TestExpansionAndMean:
