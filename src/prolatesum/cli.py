@@ -211,7 +211,15 @@ def _check(name: str, value: float, tolerance: float, larger_ok: bool = False) -
     return {"name": name, "pass": bool(ok), "value": float(value), "tolerance": float(tolerance)}
 
 
+# the largest c whose transform checks stay in bessel_j's range x <= 1e6:
+# apply_Qc evaluates J at c|x - y| < 2c, finite_hankel at c x y < c
+VERIFY_C_MAX = {"gpswf": 5e5, "cpswf": 1e6}
+
+
 def _verify_checks(cfg: RunConfig) -> list[dict]:
+    if cfg.c > VERIFY_C_MAX[cfg.family]:
+        raise UsageError(f"verify needs --c <= {VERIFY_C_MAX[cfg.family]:.0e} for {cfg.family} "
+                         f"(its transform checks evaluate Bessel J up to 1e6), got {cfg.c:g}")
     spec = _spec(cfg)
     es = solve(spec)
     if es.n_retained < 3:

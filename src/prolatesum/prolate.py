@@ -289,8 +289,8 @@ def _solve_leading(b: GalerkinBlock, k: int) -> tuple[np.ndarray, np.ndarray]:
     which is the accuracy of the window solve itself: each padded vector is
     then an eigenvector of the whole block to that accuracy, and Cauchy
     interlacing keeps the window's eigenvalues above the block's.  The exact
-    zeros MRRR returns outside a vector's support pass.  Otherwise the window
-    doubles, up to the whole block.
+    zeros the eigensolver leaves where a vector has decayed pass.  Otherwise
+    the window doubles, up to the whole block.
     """
     n = b.diag.size
     size = min(n, k + WINDOW_PAD)
@@ -341,19 +341,18 @@ def solve(spec: ProlateSpec) -> EigenSystem:
         )
     chi, block, column, blocks, solved = _spectrum(spec)
     cols = np.zeros((spec.N, chi.size))
-    flip = np.zeros(chi.size, dtype=bool)
     for i, b in enumerate(blocks):
         picked = block == i
         vecs = solved[i][1][:, column[picked]]
         solved[i] = None  # only the picked columns are kept
         # the sign convention: the other blocks' rows are zero, so the
-        # largest entry of a column lies on its block's rows
+        # largest entry of a column lies on its block's rows.  A flipped
+        # column is 0.0 - v, which keeps its zeros at +0.0
         lead = np.argmax(np.abs(vecs), axis=0)
-        flip[picked] = vecs[lead, np.arange(lead.size)] < 0
+        flip = vecs[lead, np.arange(lead.size)] < 0
+        vecs[:, flip] = 0.0 - vecs[:, flip]
         # cols[b.rows] is a view: the columns land on the window's rows
         cols[b.rows][: vecs.shape[0], picked] = vecs
-    # whole columns are negated, zeros too, so a flipped column carries -0.0
-    np.negative(cols, out=cols, where=flip)
     return EigenSystem(
         spec=spec,
         chi=chi,

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import asdict, replace
 
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import prolatesum
 from prolatesum import cli, transforms
 from prolatesum.analysis import convergence_sweep
 from prolatesum.cli import (
@@ -113,6 +117,16 @@ class TestVerify:
         check = {c["name"]: c for c in json.loads(out.read_text())["checks"]}["dyadic_piece_sup_bound"]
         assert check["pass"] and 0.0 < check["value"] <= 1.0
 
+    @pytest.mark.parametrize("family,c,bound", [("gpswf", "6e5", "5e+05"), ("gpswf", "2e6", "5e+05"),
+                                                ("cpswf", "2e6", "1e+06")])
+    def test_c_beyond_the_bessel_range_exit_1_naming_c(self, family, c, bound, capsys, monkeypatch):
+        # the transform checks would evaluate Bessel J past 1e6; nothing is solved
+        monkeypatch.setattr(cli, "solve", lambda spec: pytest.fail("solved"))
+        code, _, err = run_cli(["verify", "--family", family, "--alpha", "0.5", "--c", c,
+                                "--n", "64"], capsys)
+        assert code == 1
+        assert err.startswith("error: verify needs --c <= " + bound)
+
     def test_csv_is_three_json_lines(self, capsys):
         code, out, _ = run_cli(["verify", "--n", "16", "--quad-size", "32", "--format", "csv"], capsys)
         assert code == 0
@@ -190,7 +204,7 @@ class TestRuleResolution:
     @pytest.mark.parametrize("command", ["verify", "sweep"])
     def test_large_alpha_rule_with_tiny_weights_passes(self, command, tmp_path, capsys):
         # this rule's smallest weight is 1.8e-47, beyond what the first rows
-        # of MRRR eigenvectors resolve; the Christoffel weights keep it
+        # of the eigenvectors resolve; the Christoffel weights keep it
         out = tmp_path / "a40.json"
         with pytest.warns(UserWarning, match="outside the convergence-theorem range"):
             code, _, _ = run_cli([command, "--family", "gpswf", "--alpha", "40", "--c", "4",
@@ -703,8 +717,22 @@ class TestArtifactWriter:
         expected = _json_text({"config": asdict(cfg), "results": results, "checks": []}) + "\n"
         text = out.read_text()
         assert text == expected
-        # at c = 16 some columns are flipped: their other parity's rows hold -0.0
-        assert "-0.0,\n" in text
+        # at c = 16 some columns are flipped; 0.0 - v leaves their zeros at +0.0
+        assert not any(line.strip() in ("-0.0", "-0.0,") for line in text.splitlines())
+
+    def test_basis_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # divide-and-conquer merges call dgemm, which OpenBLAS may split over threads
+        src = os.path.dirname(os.path.dirname(prolatesum.__file__))
+        out, outputs = tmp_path / "basis.json", []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            run = subprocess.run([sys.executable, "-m", "prolatesum.cli", "basis", "--family", "gpswf",
+                                  "--c", "4", "--n", "2048", "--output", str(out)],
+                                 env=env, capture_output=True, text=True, timeout=300)
+            assert run.returncode == 0, run.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_csv_comment_lines_are_strict_json(self, tmp_path, capsys):
         csv_out, json_out = tmp_path / "sweep.csv", tmp_path / "sweep.json"

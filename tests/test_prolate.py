@@ -239,7 +239,7 @@ def full_width_solve(spec):
         raise NumericsError("merged spectrum is not strictly increasing")
     lead = np.argmax(np.abs(cols), axis=0)
     flip = cols[lead, np.arange(m)] < 0
-    cols[:, flip] = -cols[:, flip]
+    cols[:, flip] = 0.0 - cols[:, flip]
     return chi, cols, parity
 
 
@@ -344,8 +344,8 @@ class TestRetainedColumnsOnly:
     def test_gpswf_peak_memory_is_the_blocks_and_coeffs(self):
         # at its peak solve holds coeffs, both blocks' window eigenvector
         # matrices (288 of 512 rows each here, 0.16 coeffs each) and one
-        # block's picked columns (0.14 coeffs): 1.47 coeffs measured.  The
-        # bound leaves 0.13 coeffs of margin; whole-block matrices (0.5 coeffs
+        # block's picked columns (0.14 coeffs): 1.50 coeffs measured.  The
+        # bound leaves 0.10 coeffs of margin; whole-block matrices (0.5 coeffs
         # each) exceed it.
         tracemalloc.start()
         try:

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.linalg import LinAlgError
 from scipy.special import jv
 
 from prolatesum import specfun
-from prolatesum.prolate import ProlateSpec, build_galerkin, solve
+from prolatesum.prolate import ProlateSpec, _free_spectrum, _solve_leading, build_galerkin, solve
 from prolatesum.specfun import (
     NumericsError,
     QuadratureRule,
@@ -394,7 +395,7 @@ def test_mass_and_weight_sum_at_large_alpha_against_mpmath(a, b, rel):
 
 
 # rules whose smallest weights are tiny (6e-35 at (64, 40, 0)); eigenvector
-# first rows, which MRRR returns as exact 0 there, cannot give them
+# first rows, which come out as exact 0 there, cannot give them
 LARGE_ALPHA_RULES = [(64, 40.0, 0.0), (64, 60.0, 0.0), (512, 20.0, 0.0), (512, 20.0, 20.0)]
 
 
@@ -427,7 +428,7 @@ class TestRulesReadOnly:
 
 
 # ---------------------------------------------------------------------------
-# the MRRR eigensolver: arbitrary-precision oracles, Gram error, determinism
+# the tridiagonal eigensolver: arbitrary-precision oracles, Gram error, determinism
 # ---------------------------------------------------------------------------
 
 def gauss_jacobi_oracle(n, a, b, guesses, dps=30):
@@ -456,6 +457,37 @@ def gauss_jacobi_oracle(n, a, b, guesses, dps=30):
             nodes.append(float(x))
             weights.append(float(const / ((1 - x * x) * dp * dp)))
     return np.array(nodes), np.array(weights)
+
+
+def sturm_bisection_oracle(diag, off, guesses, dps=32):
+    """Eigenvalues j = 0..len(guesses)-1 of the tridiagonal (diag, off) at
+    dps digits: bisection on the Sturm count (the number of negative pivots
+    of T - x I) inside a bracket of +-1e-11 relative around each guess, which
+    must hold exactly the j-th eigenvalue."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        d, e2 = [mp.mpf(float(x)) for x in diag], [mp.mpf(float(x)) ** 2 for x in off]
+
+        def below(x):
+            count, q = 0, d[0] - x
+            for i in range(1, len(d) + 1):
+                if q == 0:
+                    q = mp.mpf(2) ** (-4 * dps)
+                count += q < 0
+                if i < len(d):
+                    q = d[i] - x - e2[i - 1] / q
+            return count
+
+        exact = []
+        for j, guess in enumerate(guesses):
+            lo, hi = mp.mpf(float(guess)) * (1 - mp.mpf("1e-11")), mp.mpf(float(guess)) * (1 + mp.mpf("1e-11"))
+            assert below(lo) == j and below(hi) == j + 1
+            while hi - lo > mp.mpf(10) ** (-dps + 12) * hi:
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if below(mid) <= j else (lo, mid)
+            exact.append(float((lo + hi) / 2))
+    return np.array(exact)
 
 
 class TestMRRRGate:
@@ -511,23 +543,60 @@ class TestMRRRGate:
         assert first.nodes.tobytes() == second.nodes.tobytes()
         assert first.weights.tobytes() == second.weights.tobytes()
 
-    def test_lapack_routine_is_stemr(self, monkeypatch):
-        real, routines = specfun.eigh_tridiagonal, []
+    def test_lapack_routines_are_stevd_pttrf_and_sterf(self, monkeypatch):
+        routines = []
 
-        def spy(d, e, **kwargs):
-            routines.append(kwargs["lapack_driver"])
-            return real(d, e, **kwargs)
+        def spy(name, real):
+            def call(*args, **kwargs):
+                routines.append(kwargs.get("lapack_driver", name))
+                return real(*args, **kwargs)
+            return call
 
-        monkeypatch.setattr(specfun, "eigh_tridiagonal", spy)
+        lapack = SimpleNamespace(dstevd=spy("stevd", specfun.lapack.dstevd),
+                                 dpttrf=spy("pttrf", specfun.lapack.dpttrf))
+        monkeypatch.setattr(specfun, "lapack", lapack)
+        monkeypatch.setattr(specfun, "eigh_tridiagonal", spy("auto", specfun.eigh_tridiagonal))
         symtridiag_eigen([1.0, 2.0, 3.0], [0.5, 0.5])
-        assert routines == ["stemr"]
+        assert routines == ["stevd", "pttrf"]
+        symtridiag_eigen([1.0, 2.0, 3.0], [0.5, 0.5], eigvals_only=True)
+        assert routines == ["stevd", "pttrf", "sterf"]
 
     def test_lapack_failure_raises_numerics_error(self, monkeypatch):
         def fail(*args, **kwargs):
-            raise LinAlgError("stemr (eigh_tridiagonal) exited with info=1")
+            raise LinAlgError("sterf (eigh_tridiagonal) exited with info=1")
 
         monkeypatch.setattr(specfun, "eigh_tridiagonal", fail)
         with pytest.raises(NumericsError, match="did not converge"):
-            symtridiag_eigen([1.0, 2.0, 3.0], [0.5, 0.5])
+            symtridiag_eigen([1.0, 2.0, 3.0], [0.5, 0.5], eigvals_only=True)
         with pytest.raises(NumericsError):
             gauss_jacobi(8, 0.0, 0.0)
+        stevd = specfun.lapack.dstevd
+        monkeypatch.setattr(specfun, "lapack", SimpleNamespace(
+            dstevd=lambda d, e: (*stevd(d, e)[:2], 1), dpttrf=specfun.lapack.dpttrf))
+        with pytest.raises(NumericsError, match="did not converge: stevd exited with info=1"):
+            symtridiag_eigen([1.0, 2.0, 3.0], [0.5, 0.5])
+
+    def test_indefinite_matrix_keeps_the_stevd_eigenvalues(self):
+        # no L D L^T factor with D > 0 exists: the D&C eigenvalues are returned as they are
+        diag, off = np.array([1.0, -2.0, 3.0, 0.5]), np.array([0.5, 0.25, 2.0])
+        w, v, _ = specfun.lapack.dstevd(diag, off)
+        got_w, got_v = symtridiag_eigen(diag, off)
+        assert got_w.tobytes() == w.tobytes() and got_v.tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("family,alpha,c,N,keep", [("gpswf", 0.0, 200.0, 1024, 0.25),
+                                                       ("cpswf", 1.5, 100.0, 256, 0.5)])
+    def test_small_chi_at_large_c_against_sturm_bisection(self, family, alpha, c, N, keep):
+        # at c >> 1 the lowest chi sit far below ||T||: divide and conquer
+        # alone misses chi_0 by 3-8e-14 relative at gpswf c = 200, and the
+        # L D L^T Rayleigh quotient recovers it.  Every block is checked on
+        # its leading window (388 of 512 rows at gpswf) and whole.
+        spec = ProlateSpec(family, alpha, c, N, keep)
+        free = _free_spectrum(spec, N)
+        bound = free[spec.n_retained - 1] + c * c
+        for b in build_galerkin(spec):
+            window = _solve_leading(b, np.count_nonzero(free[b.rows] <= bound))[1].shape[0]
+            for size in {window, b.diag.size}:
+                diag, off = b.diag[:size], b.off[: size - 1]
+                chi = symtridiag_eigen(diag, off)[0][:4]
+                exact = sturm_bisection_oracle(diag, off, chi)
+                assert np.max(np.abs(chi - exact) / exact) <= 1e-14
