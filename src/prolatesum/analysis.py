@@ -62,9 +62,10 @@ def norm_growth_fit(es: EigenSystem, p: float, n_range: tuple[int, int]) -> floa
         raise ValueError("need at least 10 modes for a slope fit")
     ns = np.arange(lo, hi + 1)
     if p == math.inf:
-        grid = _dense_interior_grid(es)
-        # only the fitted modes are evaluated
-        vals = np.max(np.abs(es.coeffs[:, ns].T @ es.basis_matrix(grid)), axis=1)
+        # only the fitted modes are evaluated, on the basis rows that carry them
+        rows = es.support_rows
+        modes = es.coeffs[:rows, ns].T @ es.basis_matrix(_dense_interior_grid(es), rows=rows)
+        vals = np.max(np.abs(modes), axis=1)
     else:
         rule = es.default_rule()
         vals = _lp_norms(es.rule_modes(rule)[ns], rule.weights, p)
@@ -149,9 +150,10 @@ def jacobi_approx_residual(es: EigenSystem, n: int) -> JacobiApproxResult:
         raise ValueError("diagnostic valid for 0 <= alpha < 3/2")
     if not 0 <= n < es.n_retained:
         raise ValueError(f"mode {n} is not retained")
-    B = es.basis_matrix(_dense_interior_grid(es))
+    # the basis rows that carry coefficients, and J~_n
+    B = es.basis_matrix(_dense_interior_grid(es), rows=max(es.support_rows, n + 1))
     amp = float(es.coeffs[n, n])
-    diff = es.coeffs[:, n] @ B - amp * B[n]
+    diff = es.coeffs[: len(B), n] @ B - amp * B[n]
     return JacobiApproxResult(residual=float(np.max(np.abs(diff))), amplitude=amp)
 
 

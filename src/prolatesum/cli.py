@@ -9,6 +9,7 @@ check failed, 3 an internal numerical routine failed, or the quadrature rule
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -104,15 +105,13 @@ def _json_text(obj) -> str:
     """Strict JSON of obj with the bytes of json.dumps(obj, indent=2,
     sort_keys=True), except that a non-finite float is written as null.
 
-    An ndarray is written with the bytes of its tolist(): one of two or more
-    axes as the list of its rows, a nonempty 1-d float64 array by formatting
-    only its nonzero entries.  A finite float (np.float64 included) is
-    written with float.__repr__, the form json itself writes; other scalars
-    are written by json.dumps.  Dict keys must be strings.
+    An ndarray is written with the bytes of its tolist(); a nonempty float64
+    array of one or two axes formats only its nonzero entries
+    (_float_rows).  A finite float (np.float64 included) is written with
+    float.__repr__, the form json itself writes; other scalars are written by
+    json.dumps.  Dict keys must be strings.
     """
-    chunks = []
-    _json_chunks(obj, "\n", chunks)
-    return "".join(chunks)
+    return b"".join(_json_chunks(obj, "\n")).decode()
 
 
 def _json_line(obj) -> str:
@@ -121,50 +120,85 @@ def _json_line(obj) -> str:
     return json.dumps(json.loads(_json_text(obj)), sort_keys=True)
 
 
-def _json_chunks(obj, pad: str, out: list) -> None:
-    # pad is the newline and indent that close obj; its items sit one level in
+def _json_chunks(obj, pad: str):
+    """Yield the JSON of obj as ASCII bytes-like chunks, for _json_text.
+    pad is the newline and indent that close obj; its items sit one level in."""
     inner = pad + "  "
     if isinstance(obj, np.ndarray):
-        if obj.ndim == 1 and len(obj) and obj.dtype == np.float64:
-            # the bytes of obj.tolist(): each entry starts as the shared
-            # string "0.0", and only entries whose bits are not those of +0.0
-            # (-0.0 among them) are formatted.  The Python-level work is one
-            # store per nonzero: a dense 512 x 512 array takes about what
-            # joining map(float.__repr__, row) over its rows takes (0.19-0.20 s
-            # on one x86-64 core), a mostly-zero basis a small fraction of it.
-            # No workload writes a dense array of basis size.
-            text = ["0.0"] * obj.size
-            nonzero = np.flatnonzero(obj.view(np.int64))
-            values = obj[nonzero]
-            for i, v in zip(nonzero.tolist(), map(float.__repr__, values.tolist())):
-                text[i] = v
-            for i in nonzero[~np.isfinite(values)].tolist():
-                text[i] = "null"
-            out.append("[" + inner + ("," + inner).join(text) + pad + "]")
+        if obj.dtype != np.float64 or obj.size == 0 or obj.ndim == 0:
+            obj = obj.tolist()
+        elif obj.ndim == 1:
+            yield from _float_rows(obj[None, :], pad)
             return
-        # an array of two or more axes is the list of its rows
-        obj = list(obj) if obj.ndim > 1 else obj.tolist()
+        elif obj.ndim == 2:
+            yield ("[" + inner).encode()
+            yield from _float_rows(obj, inner)
+            yield (pad + "]").encode()
+            return
+        else:  # the list of its 2-d slabs
+            obj = list(obj)
     if isinstance(obj, float):
-        out.append(float.__repr__(obj) if math.isfinite(obj) else "null")
-        return
-    if isinstance(obj, dict) and obj:
+        yield (float.__repr__(obj) if math.isfinite(obj) else "null").encode()
+    elif isinstance(obj, dict) and obj:
         if not all(isinstance(k, str) for k in obj):
             raise TypeError("artifact keys must be strings")
         sep = "{" + inner
         for k, v in sorted(obj.items()):
-            out.append(sep + json.dumps(k) + ": ")
-            _json_chunks(v, inner, out)
+            yield (sep + json.dumps(k) + ": ").encode()
+            yield from _json_chunks(v, inner)
             sep = "," + inner
-        out.append(pad + "}")
+        yield (pad + "}").encode()
     elif isinstance(obj, (list, tuple)) and obj:
         sep = "[" + inner
         for v in obj:
-            out.append(sep)
-            _json_chunks(v, inner, out)
+            yield sep.encode()
+            yield from _json_chunks(v, inner)
             sep = "," + inner
-        out.append(pad + "]")
+        yield (pad + "]").encode()
     else:  # str, int, bool, None, {} and []
-        out.append(json.dumps(obj))
+        yield json.dumps(obj).encode()
+
+
+def _float_rows(a: np.ndarray, pad: str):
+    """Yield the rows of the nonempty 2-d float64 array a, each with the
+    bytes of its tolist() closed by pad, the rows separated by "," + pad.
+
+    The whole array takes a fixed number of numpy calls, and only entries
+    whose bits are not those of +0.0 (-0.0 among them) are formatted.  Each
+    row is written as three pieces: the zeros before its first formatted
+    entry and those after its last are slices of one shared buffer, which
+    also is the row object of every all-zero row, and only the band between
+    is built as text.
+    """
+    k, n = a.shape
+    cell = pad + "  "
+    unit = len(cell) + 4  # one more zero entry: "," + cell + "0.0"
+    # the buffer is "," + pad + "[", an all-zero row, then its closing pad + "]"
+    opening = len(pad) + 2
+    zeros = memoryview(("," + pad + "[" + cell + "0.0" + ("," + cell + "0.0") * (n - 1)
+                        + pad + "]").encode())
+    flat = np.ascontiguousarray(a).reshape(-1)
+    nonzero = np.flatnonzero(flat.view(np.int64))
+    values = flat[nonzero]
+    text = list(map(float.__repr__, values.tolist()))
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        text[i] = "null"
+    cols = (nonzero % n).tolist()
+    bounds = np.searchsorted(nonzero, np.arange(k + 1) * n).tolist()
+    sep = "," + cell
+    start = opening - 1  # the first row has no separator
+    for lo, hi in zip(bounds, bounds[1:]):
+        if lo == hi:
+            yield zeros[start:] if start else zeros
+        else:
+            first, last = cols[lo], cols[hi - 1]
+            band = ["0.0"] * (last - first + 1)
+            for c, t in zip(cols[lo:hi], text[lo:hi]):
+                band[c - first] = t
+            yield zeros[start:opening + first * unit + len(cell)]
+            yield sep.join(band).encode()
+            yield zeros[opening + (last + 1) * unit - 1:]
+        start = 0
 
 
 def _csv_text(header: str, rows) -> str:
@@ -181,25 +215,32 @@ def _csv_text(header: str, rows) -> str:
 def _emit(cfg: RunConfig, results, csv=None, checks=()) -> None:
     """Write the run's artifact; the one place cfg.fmt is read.  CSV holds
     the table csv = (header, rows), or results as one JSON line when there is
-    none; rows() is called only for CSV, so a JSON run never builds them."""
+    none; rows() is called only for CSV, so a JSON run never builds them.
+    JSON is streamed chunk by chunk, the same bytes to a file and to stdout."""
     if cfg.fmt == "json":
-        chunks = []
-        _json_chunks({"config": asdict(cfg), "results": results, "checks": checks}, "\n", chunks)
-        chunks.append("\n")
+        chunks = itertools.chain(
+            _json_chunks({"config": asdict(cfg), "results": results, "checks": checks}, "\n"), [b"\n"])
     else:
         # each comment line and a results dict is one line of strict JSON
-        chunks = ["# config: " + _json_line(asdict(cfg)) + "\n",
-                  _csv_text(csv[0], csv[1]()) if csv else _json_line(results) + "\n"]
+        text = "# config: " + _json_line(asdict(cfg)) + "\n"
+        text += _csv_text(csv[0], csv[1]()) if csv else _json_line(results) + "\n"
         if checks:
-            chunks.append("# checks: " + _json_line(checks) + "\n")
+            text += "# checks: " + _json_line(checks) + "\n"
+        chunks = [text.encode()]
     if cfg.output:
         try:
-            with open(cfg.output, "w") as fh:
+            with open(cfg.output, "wb") as fh:
                 fh.writelines(chunks)
         except OSError as exc:
             raise UsageError(f"cannot write {cfg.output}: {exc.strerror}") from exc
     else:
-        sys.stdout.writelines(chunks)
+        sys.stdout.flush()  # text written before the artifact stays before it
+        out = getattr(sys.stdout, "buffer", None)
+        if out is None:  # a text stream with no bytes layer, such as io.StringIO
+            sys.stdout.write(b"".join(chunks).decode())
+        else:
+            out.writelines(chunks)
+            out.flush()
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,13 @@ def build_galerkin(spec: ProlateSpec) -> tuple[GalerkinBlock, ...]:
 RULE_NORM_TOL = 1e-8
 
 
+def _support_rows(a: np.ndarray) -> int:
+    """1 + the last row of the 2-d array a with an entry other than +-0.0
+    (NaN counts), 0 for none: one pass over a, no temporary of its size."""
+    rows = np.flatnonzero(np.any(a, axis=1))
+    return int(rows[-1]) + 1 if rows.size else 0
+
+
 @dataclass
 class EigenSystem:
     """Retained eigenpairs of one prolate family.
@@ -165,13 +172,22 @@ class EigenSystem:
     chi is strictly ascending; column n of coeffs expands the n-th
     eigenfunction in the reference basis.  Columns are orthonormal and carry
     the sign convention that their largest-magnitude entry is positive.
+    support_rows is L + 1, L the last row of coeffs holding a nonzero entry
+    (at least 1): every row past L is zero, so a mode table needs only the
+    basis rows of degree <= L.  solve passes it; otherwise it is read from
+    coeffs.
     """
 
     spec: ProlateSpec
     chi: np.ndarray
     coeffs: np.ndarray
     parity: np.ndarray | None = field(default=None)
+    support_rows: int | None = field(default=None)
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.support_rows is None:
+            self.support_rows = max(1, _support_rows(self.coeffs))
 
     @property
     def n_retained(self) -> int:
@@ -224,8 +240,7 @@ class EigenSystem:
             if not gap <= RULE_NORM_TOL:
                 exact = ""
                 if self.spec.family is Family.GPSWF:
-                    last = np.flatnonzero(np.any(self.coeffs != 0, axis=1))[-1]
-                    exact = f" ({last + 1} nodes integrate every retained product exactly)"
+                    exact = f" ({self.support_rows} nodes integrate every retained product exactly)"
                 raise NumericsError(
                     f"a {rule.size}-node rule does not resolve the {self.n_retained} "
                     f"retained modes: their quadrature norms are off by {gap:.3g} "
@@ -236,24 +251,29 @@ class EigenSystem:
 
     def _check_domain(self, x: np.ndarray):
         lo, hi = family_grid(self.spec.family, self.spec.alpha).interval
-        if np.any(x <= lo) or np.any(x >= hi):
+        # written so that NaN fails too
+        if not np.all((x > lo) & (x < hi)):
             raise ValueError(f"evaluation points must lie in the open interval ({lo}, {hi})")
 
-    def basis_matrix(self, x, check_domain: bool = True) -> np.ndarray:
-        """Reference-basis values, shape (N, len(x))."""
+    def basis_matrix(self, x, check_domain: bool = True, rows: int | None = None) -> np.ndarray:
+        """Reference-basis values of degree < rows (all N by default), shape
+        (rows, len(x))."""
+        rows = self.spec.N if rows is None else rows
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if check_domain:
             self._check_domain(x)
-        a, N = self.spec.alpha, self.spec.N
+        a = self.spec.alpha
         if self.spec.family is Family.GPSWF:
-            return jacobi_orthonormal_table(N, a, a, x)
-        u = 1.0 - 2.0 * x * x
-        envelope = 2 ** ((a + 2) / 2.0) * x ** (a + 0.5)
-        return jacobi_orthonormal_table(N, a, 0.0, u) * envelope
+            return jacobi_orthonormal_table(rows, a, a, x)
+        table = jacobi_orthonormal_table(rows, a, 0.0, 1.0 - 2.0 * x * x)
+        table *= 2 ** ((a + 2) / 2.0) * x ** (a + 0.5)
+        return table
 
     def mode_matrix(self, x, check_domain: bool = True) -> np.ndarray:
-        """All retained eigenfunctions at x, shape (n_retained, len(x))."""
-        return self.coeffs.T @ self.basis_matrix(x, check_domain=check_domain)
+        """All retained eigenfunctions at x, shape (n_retained, len(x)), from
+        the support_rows basis rows that carry coefficients."""
+        rows = self.support_rows
+        return self.coeffs[:rows].T @ self.basis_matrix(x, check_domain, rows)
 
     def lower_bounds(self) -> np.ndarray:
         return _free_spectrum(self.spec, self.n_retained)
@@ -341,6 +361,7 @@ def solve(spec: ProlateSpec) -> EigenSystem:
         )
     chi, block, column, blocks, solved = _spectrum(spec)
     cols = np.zeros((spec.N, chi.size))
+    support = 1
     for i, b in enumerate(blocks):
         picked = block == i
         vecs = solved[i][1][:, column[picked]]
@@ -353,11 +374,16 @@ def solve(spec: ProlateSpec) -> EigenSystem:
         vecs[:, flip] = 0.0 - vecs[:, flip]
         # cols[b.rows] is a view: the columns land on the window's rows
         cols[b.rows][: vecs.shape[0], picked] = vecs
+        # the window's last nonzero row is the block's last in coeffs
+        rows = _support_rows(vecs)
+        if rows:
+            support = max(support, range(spec.N)[b.rows][rows - 1] + 1)
     return EigenSystem(
         spec=spec,
         chi=chi,
         coeffs=cols,
         parity=block if spec.family is Family.GPSWF else None,
+        support_rows=support,
     )
 
 

@@ -92,14 +92,19 @@ def jacobi_orthonormal_table(nmax: int, a: float, b: float, x) -> np.ndarray:
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
     alpha, beta = jacobi_recurrence(nmax + 1, a, b)
+    alpha, root = alpha.tolist(), np.sqrt(beta).tolist()
     x = np.atleast_1d(np.asarray(x, dtype=float))
     table = np.empty((nmax, x.size))
-    table[0] = 1.0 / np.sqrt(beta[0])
+    table[0] = 1.0 / root[0]
     if nmax > 1:
-        table[1] = (x - alpha[0]) * table[0] / np.sqrt(beta[1])
+        table[1] = (x - alpha[0]) * table[0] / root[1]
+    scratch = np.empty_like(x)
     for k in range(2, nmax):
-        table[k] = ((x - alpha[k - 1]) * table[k - 1]
-                    - np.sqrt(beta[k - 1]) * table[k - 2]) / np.sqrt(beta[k])
+        # row k in place, in the order ((x - alpha) p_{k-1} - root p_{k-2}) / root
+        row = np.subtract(x, alpha[k - 1], out=table[k])
+        row *= table[k - 1]
+        row -= np.multiply(root[k - 1], table[k - 2], out=scratch)
+        row /= root[k]
     return table
 
 

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prolatesum import prolate
 from prolatesum.analysis import (
     _cluster_ratios,
+    _dense_interior_grid,
     boundary_probes,
     calibrate_b1,
     calibrate_lemma1,
@@ -88,6 +90,24 @@ class TestNormGrowth:
     def test_bandlimited_sup_growth_bound(self, es):
         slope = norm_growth_fit(es, math.inf, (20, 60))
         assert slope <= 1.0 + 0.1
+
+    @pytest.mark.parametrize("family,alpha,N", [("gpswf", 0.0, 1024), ("cpswf", 1.5, 512)])
+    def test_sup_fit_reads_only_the_support_rows(self, family, alpha, N, monkeypatch):
+        # reference: the fitted modes from the full N-row basis table
+        es = solve(ProlateSpec(family=family, alpha=alpha, c=4.0, N=N))
+        ns = np.arange(20, 101)
+        modes = es.coeffs[:, ns].T @ es.basis_matrix(_dense_interior_grid(es))
+        expected = np.polyfit(np.log(ns), np.log(np.max(np.abs(modes), axis=1)), 1)[0]
+        sizes = []
+        original = prolate.jacobi_orthonormal_table
+
+        def recording(nmax, a, b, x):
+            sizes.append(nmax)
+            return original(nmax, a, b, x)
+
+        monkeypatch.setattr(prolate, "jacobi_orthonormal_table", recording)
+        assert norm_growth_fit(es, math.inf, (20, 100)) == pytest.approx(expected, rel=1e-12)
+        assert sizes == [es.support_rows] and es.support_rows < N
 
     @pytest.mark.parametrize("family,alpha", [("gpswf", 0.5), ("cpswf", 0.7)])
     def test_finite_p_at_n2048_uses_a_rule_of_n_nodes(self, family, alpha):

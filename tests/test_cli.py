@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,7 +9,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -657,6 +659,30 @@ _FLOAT_ARRAYS = hnp.arrays(
 )
 
 
+_SPECIAL = st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf")])
+
+
+@st.composite
+def _banded_arrays(draw):
+    """2-d float64 arrays shaped like basis coefficients: most rows zero,
+    each other row nonzero only on a band of columns, the band's entries
+    drawn with +-0.0, nan and +-inf among them."""
+    k, n = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    a = np.zeros((k, n))
+    for i in range(k):
+        if n and draw(st.booleans()):
+            first = draw(st.integers(0, n - 1))
+            last = draw(st.integers(first, n - 1))
+            a[i, first:last + 1] = draw(hnp.arrays(np.float64, last - first + 1,
+                                                   elements=st.floats() | _SPECIAL))
+    return a
+
+
+def _listed(a):
+    # the tolist() a strict writer is held to: a non-finite entry is null
+    return np.where(np.isfinite(a), a, None).tolist()
+
+
 class TestArtifactWriter:
     @settings(max_examples=200, deadline=None)
     @given(obj=_JSON_VALUES)
@@ -697,6 +723,22 @@ class TestArtifactWriter:
         transposed = json.dumps(np.where(np.isfinite(a.T), a.T, None).tolist(), indent=2, sort_keys=True)
         assert _json_text(a.T) == transposed
 
+    @settings(max_examples=300, deadline=None)
+    @given(a=_banded_arrays())
+    @example(a=np.zeros((4, 1)))
+    @example(a=np.array([[1.5], [0.0], [-0.0], [np.nan]]))
+    @example(a=np.zeros((0, 3)))
+    @example(a=np.zeros((3, 0)))
+    @example(a=np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -3.0], [-0.0, 0.0, np.inf]]))
+    @example(a=np.array([[0.0, -np.inf, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]))
+    def test_banded_matrix_bytes_equal_its_list(self, a):
+        # all-zero rows, bands that touch the first or last column, one-column
+        # and empty shapes, at the top level and nested one level deeper
+        assert _json_text(a) == json.dumps(_listed(a), indent=2)
+        assert _json_text({"x": [a, 0.5]}) == json.dumps({"x": [_listed(a), 0.5]}, indent=2)
+        for row in a:
+            assert _json_text(row) == json.dumps(_listed(row), indent=2)
+
     @settings(max_examples=100, deadline=None)
     @given(a=_FLOAT_ARRAYS, b=_FLOAT_ARRAYS, ints=hnp.arrays(np.int64, hnp.array_shapes(min_dims=0)),
            single=hnp.arrays(np.float32, hnp.array_shapes(min_dims=0, max_side=3)))
@@ -719,6 +761,23 @@ class TestArtifactWriter:
         assert text == expected
         # at c = 16 some columns are flipped; 0.0 - v leaves their zeros at +0.0
         assert not any(line.strip() in ("-0.0", "-0.0,") for line in text.splitlines())
+
+    def test_stdout_and_file_artifacts_differ_only_in_config_output(self, tmp_path, capsys):
+        out = tmp_path / "basis.json"
+        args = ["basis", "--family", "gpswf", "--c", "4", "--n", "512"]
+        code, text, _ = run_cli(args, capsys)
+        assert code == 0
+        assert main(args + ["--output", str(out)]) == 0
+        written = out.read_text()
+        assert written != text
+        assert written == text.replace('"output": null', '"output": ' + json.dumps(str(out)), 1)
+        assert json.loads(written)["config"]["output"] == str(out)
+        assert json.loads(text)["config"]["output"] is None
+        # a replaced stdout with no bytes layer gets the same text
+        replaced = io.StringIO()
+        with contextlib.redirect_stdout(replaced):
+            assert main(args) == 0
+        assert replaced.getvalue() == text
 
     def test_basis_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         # divide-and-conquer merges call dgemm, which OpenBLAS may split over threads

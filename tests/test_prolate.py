@@ -13,12 +13,14 @@ from prolatesum.cli import _json_text
 from prolatesum.cli import main as cli_main
 from prolatesum.prolate import (
     WINDOW_PAD,
+    EigenSystem,
     Family,
     ProlateSpec,
     _free_spectrum,
     _spectrum,
     build_galerkin,
     check_bounds,
+    family_grid,
     solve,
 )
 from prolatesum.specfun import NumericsError, gauss_jacobi, jacobi_orthonormal_table, symtridiag_eigen
@@ -395,6 +397,16 @@ class TestEval:
         with pytest.raises(ValueError):
             esc.mode_matrix(1.0)
 
+    @pytest.mark.parametrize("make", [gpswf, cpswf])
+    def test_nan_point_rejected(self, make):
+        # NaN is not inside the open interval: it is rejected, not tabulated as NaN rows
+        es = make(N=16)
+        for x in ([np.nan], [0.5, np.nan]):
+            with pytest.raises(ValueError, match="open interval"):
+                es.mode_matrix(x)
+            with pytest.raises(ValueError, match="open interval"):
+                es.basis_matrix(x)
+
     def test_unretained_mode_rejected(self):
         es = gpswf(N=16)
         assert es.mode_matrix(0.5).shape == (8, 1)
@@ -411,6 +423,93 @@ class TestEval:
                 signs = np.sign(vals[n])
                 changes = int(np.sum(signs[:-1] * signs[1:] < 0))
                 assert changes == n, (c, n, changes)
+
+
+def _last_nonzero_row(coeffs) -> int:
+    return int(np.flatnonzero(np.any(coeffs != 0, axis=1))[-1])
+
+
+def _interior_points(es, count=65):
+    lo, hi = family_grid(es.spec.family, es.spec.alpha).interval
+    return np.linspace(lo, hi, count + 2)[1:-1]
+
+
+class TestSupportRows:
+    """A mode table multiplies only the support_rows = L + 1 basis rows that
+    carry coefficients; rows past L are zero in every column."""
+
+    SPECS = [("gpswf", 0.0, 4.0, 2048), ("gpswf", 0.5, 200.0, 1024), ("gpswf", 1.0, 1.0, 64),
+             ("cpswf", 1.5, 16.0, 1024), ("cpswf", 0.5, 0.0, 64)]
+
+    @staticmethod
+    def _assert_matches_full_product(es):
+        x = _interior_points(es)
+        full = es.coeffs.T @ es.basis_matrix(x)
+        table = es.mode_matrix(x)
+        assert table.shape == full.shape
+        assert np.max(np.abs(table - full)) <= 1e-13 * max(1.0, np.max(np.abs(full)))
+
+    @pytest.mark.parametrize("family,alpha,c,N", SPECS)
+    def test_solved_count_is_the_last_nonzero_row_plus_one(self, family, alpha, c, N):
+        es = solve(ProlateSpec(family=family, alpha=alpha, c=c, N=N))
+        assert es.support_rows == _last_nonzero_row(es.coeffs) + 1
+        # the count from the windows is the count a hand-built system reads from coeffs
+        assert EigenSystem(spec=es.spec, chi=es.chi, coeffs=es.coeffs).support_rows == es.support_rows
+
+    def test_windows_leave_zero_rows(self):
+        es = gpswf(alpha=0.0, c=4.0, N=2048)
+        assert es.support_rows == 1054
+
+    @pytest.mark.parametrize("family,alpha,c,N", SPECS)
+    def test_solved_mode_matrix_matches_the_full_product(self, family, alpha, c, N):
+        self._assert_matches_full_product(solve(ProlateSpec(family=family, alpha=alpha, c=c, N=N)))
+
+    @pytest.mark.parametrize("family,alpha", [("gpswf", 0.5), ("cpswf", 1.5)])
+    @pytest.mark.parametrize("last", [0, 5, 40, 63])
+    def test_hand_built_system(self, family, alpha, last):
+        # orthonormal columns on rows 0..last, zero below; -0.0 rows below count as zero
+        spec = ProlateSpec(family=family, alpha=alpha, c=1.0, N=64)
+        rng = np.random.default_rng(last)
+        m = min(8, last + 1)
+        coeffs = np.zeros((64, m))
+        coeffs[: last + 1] = np.linalg.qr(rng.standard_normal((last + 1, m)))[0]
+        coeffs[last + 1:] = -0.0
+        es = EigenSystem(spec=spec, chi=np.arange(1.0, m + 1), coeffs=coeffs)
+        assert es.support_rows == _last_nonzero_row(coeffs) + 1 == last + 1
+        self._assert_matches_full_product(es)
+
+    def test_hand_built_nan_row_counts_and_zero_coeffs_give_one_row(self):
+        spec = ProlateSpec(family="gpswf", alpha=0.0, c=1.0, N=16)
+        coeffs = np.zeros((16, 2))
+        assert EigenSystem(spec=spec, chi=np.array([1.0, 2.0]), coeffs=coeffs).support_rows == 1
+        coeffs[11, 1] = np.nan
+        es = EigenSystem(spec=spec, chi=np.array([1.0, 2.0]), coeffs=coeffs)
+        assert es.support_rows == 12
+        assert np.all(np.isnan(es.mode_matrix([0.5])[1]))
+
+    def test_hand_built_count_needs_no_temporary_of_coeffs_size(self):
+        es = gpswf(alpha=0.0, c=4.0, N=2048)
+        tracemalloc.start()
+        try:
+            built = EigenSystem(spec=es.spec, chi=es.chi, coeffs=es.coeffs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert built.support_rows == es.support_rows
+        assert peak < 0.01 * es.coeffs.nbytes
+
+    def test_table_has_only_the_support_rows(self, monkeypatch):
+        es = gpswf(alpha=0.0, c=4.0, N=2048)
+        sizes = []
+        original = prolate.jacobi_orthonormal_table
+
+        def recording(nmax, a, b, x):
+            sizes.append(nmax)
+            return original(nmax, a, b, x)
+
+        monkeypatch.setattr(prolate, "jacobi_orthonormal_table", recording)
+        es.mode_matrix(_interior_points(es))
+        assert sizes == [es.support_rows]
 
 
 class TestBounds:

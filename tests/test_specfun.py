@@ -207,6 +207,22 @@ class TestJacobiPoly:
                 err = np.abs(table[k] - ref) / np.maximum(1.0, np.abs(ref))
                 assert np.max(err) <= 1e-13, k
 
+    @settings(max_examples=80, deadline=None)
+    @given(nmax=st.integers(1, 300), a=st.floats(-0.99, 40.0), b=st.floats(-0.99, 40.0),
+           x=st.lists(st.floats(-1.0, 1.0), max_size=9))
+    def test_bit_equal_to_the_row_by_row_recurrence(self, nmax, a, b, x):
+        # reference: each row as one expression, with numpy-scalar recurrence coefficients
+        alpha, beta = jacobi_recurrence(nmax + 1, a, b)
+        x = np.asarray(x, dtype=float)
+        ref = np.empty((nmax, x.size))
+        ref[0] = 1.0 / np.sqrt(beta[0])
+        if nmax > 1:
+            ref[1] = (x - alpha[0]) * ref[0] / np.sqrt(beta[1])
+        for k in range(2, nmax):
+            ref[k] = ((x - alpha[k - 1]) * ref[k - 1]
+                      - np.sqrt(beta[k - 1]) * ref[k - 2]) / np.sqrt(beta[k])
+        assert np.array_equal(jacobi_orthonormal_table(nmax, a, b, x), ref)
+
     def test_high_degree_stable(self):
         vals = jacobi_orthonormal_table(2001, 0.25, 0.25, np.linspace(-0.99, 0.99, 11))[2000]
         assert np.all(np.isfinite(vals))
