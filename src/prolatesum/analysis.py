@@ -8,6 +8,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+# numpy loads these on first use: import them with the package, not inside an op
+import numpy.polynomial  # noqa: F401
+import numpy.random  # noqa: F401
 
 from .prolate import EigenSystem, Family
 from .riesz import (

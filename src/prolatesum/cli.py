@@ -16,6 +16,7 @@ import sys
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy loads it on first use: load it here, not inside an op
 
 from . import analysis, riesz, transforms
 from .prolate import Family, ProlateSpec, _spectrum, check_bounds, family_grid, solve

@@ -6,15 +6,40 @@ polished by one Newton step (no eigenvectors), a symmetric tridiagonal
 eigensolver (LAPACK divide and conquer *stevd*, its eigenvalues refined as
 Rayleigh quotients through an LDL^T factor; *sterf* for eigenvalues alone),
 and Bessel J of real order.
+
+The three LAPACK routines come from scipy's compiled ``_flapack`` extension,
+loaded from its file by _load_flapack.  Importing ``scipy.linalg`` for them
+would more than double the package's import time: its ``__init__`` builds
+scipy's array-API namespace, which imports numpy.f2py, numpy.testing,
+numpy.ma and numpy.random.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 from math import gamma, lgamma, log, pi
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal, lapack
+import scipy
+from numpy.linalg import LinAlgError
+
+
+def _load_flapack():
+    """scipy's f2py wrappers of LAPACK (scipy.linalg.lapack's routines), loaded
+    from scipy/linalg without running the scipy.linalg package."""
+    where = os.path.join(scipy.__path__[0], "linalg")
+    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", [where])
+    if spec is None:
+        raise ImportError(f"no LAPACK extension _flapack in {where} (scipy {scipy.__version__})")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+lapack = _load_flapack()
 
 
 class NumericsError(RuntimeError):
@@ -190,6 +215,18 @@ def gauss_legendre_01(size: int) -> QuadratureRule:
 # ---------------------------------------------------------------------------
 # symmetric tridiagonal eigensolver
 # ---------------------------------------------------------------------------
+
+def eigh_tridiagonal(d, e, eigvals_only=True, lapack_driver="sterf"):
+    """Eigenvalues of the symmetric tridiagonal matrix (d, e) from LAPACK
+    *sterf*, ascending; scipy.linalg.eigh_tridiagonal's call and result for
+    that driver, which is the only one accepted."""
+    if not eigvals_only or lapack_driver != "sterf":
+        raise ValueError("only eigvals_only=True with lapack_driver='sterf' is supported")
+    w, info = lapack.dsterf(d, e)
+    if info != 0:
+        raise LinAlgError(f"sterf (eigh_tridiagonal) exited with info={info}")
+    return w
+
 
 def symtridiag_eigen(diag, offdiag, eigvals_only: bool = False):
     """Eigendecomposition of a symmetric tridiagonal matrix.

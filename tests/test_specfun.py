@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgError
+from numpy.linalg import LinAlgError
 from scipy.special import jv
 
 from prolatesum import specfun
@@ -380,6 +380,39 @@ class TestSymtridiag:
             symtridiag_eigen([1.0, np.inf], [0.0])
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _sterf_outcome(eigh, d, e):
+    try:
+        return eigh(d, e, eigvals_only=True, lapack_driver="sterf").tobytes()
+    except LinAlgError:
+        return LinAlgError
+
+
+class TestLapackLoader:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 300).flatmap(lambda n: st.tuples(st.lists(_FINITE, min_size=n, max_size=n),
+                                                           st.lists(_FINITE, min_size=n - 1, max_size=n - 1))))
+    def test_eigh_tridiagonal_is_scipys_sterf_bit_for_bit(self, entries):
+        from scipy import linalg
+
+        d, e = (np.array(x) for x in entries)
+        assert _sterf_outcome(specfun.eigh_tridiagonal, d, e) == _sterf_outcome(linalg.eigh_tridiagonal, d, e)
+
+    @pytest.mark.parametrize("eigvals_only,driver", [(False, "sterf"), (True, "auto"), (True, "stev"),
+                                                     (True, "stevd"), (True, "stebz"), (True, "stemr")])
+    def test_eigh_tridiagonal_accepts_only_sterf_eigenvalues(self, eigvals_only, driver):
+        with pytest.raises(ValueError):
+            specfun.eigh_tridiagonal([1.0, 2.0], [0.5], eigvals_only=eigvals_only, lapack_driver=driver)
+
+    def test_missing_extension_names_the_directory_searched(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(specfun.scipy, "__path__", [str(tmp_path)])
+        with pytest.raises(ImportError, match="no LAPACK extension") as err:
+            specfun._load_flapack()
+        assert str(tmp_path) in str(err.value)
+
+
 def test_recurrence_mass_matches_moment_oracle():
     for a, b in [(0.0, 0.0), (0.5, 0.5), (1.3, -0.2)]:
         _, beta = jacobi_recurrence(3, a, b)
@@ -569,26 +602,24 @@ class TestMRRRGate:
             return call
 
         lapack = SimpleNamespace(dstevd=spy("stevd", specfun.lapack.dstevd),
-                                 dpttrf=spy("pttrf", specfun.lapack.dpttrf))
+                                 dpttrf=spy("pttrf", specfun.lapack.dpttrf),
+                                 dsterf=spy("sterf", specfun.lapack.dsterf))
         monkeypatch.setattr(specfun, "lapack", lapack)
-        monkeypatch.setattr(specfun, "eigh_tridiagonal", spy("auto", specfun.eigh_tridiagonal))
         symtridiag_eigen([1.0, 2.0, 3.0], [0.5, 0.5])
         assert routines == ["stevd", "pttrf"]
         symtridiag_eigen([1.0, 2.0, 3.0], [0.5, 0.5], eigvals_only=True)
         assert routines == ["stevd", "pttrf", "sterf"]
 
     def test_lapack_failure_raises_numerics_error(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise LinAlgError("sterf (eigh_tridiagonal) exited with info=1")
-
-        monkeypatch.setattr(specfun, "eigh_tridiagonal", fail)
+        real = specfun.lapack
+        monkeypatch.setattr(specfun, "lapack", SimpleNamespace(
+            dstevd=real.dstevd, dpttrf=real.dpttrf, dsterf=lambda d, e: (real.dsterf(d, e)[0], 1)))
         with pytest.raises(NumericsError, match="did not converge"):
             symtridiag_eigen([1.0, 2.0, 3.0], [0.5, 0.5], eigvals_only=True)
         with pytest.raises(NumericsError):
             gauss_jacobi(8, 0.0, 0.0)
-        stevd = specfun.lapack.dstevd
         monkeypatch.setattr(specfun, "lapack", SimpleNamespace(
-            dstevd=lambda d, e: (*stevd(d, e)[:2], 1), dpttrf=specfun.lapack.dpttrf))
+            dstevd=lambda d, e: (*real.dstevd(d, e)[:2], 1), dpttrf=real.dpttrf, dsterf=real.dsterf))
         with pytest.raises(NumericsError, match="did not converge: stevd exited with info=1"):
             symtridiag_eigen([1.0, 2.0, 3.0], [0.5, 0.5])
 
