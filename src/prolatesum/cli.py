@@ -253,8 +253,9 @@ def _check(name: str, value: float, tolerance: float, larger_ok: bool = False) -
     return {"name": name, "pass": bool(ok), "value": float(value), "tolerance": float(tolerance)}
 
 
-# the largest c whose transform checks stay in bessel_j's range x <= 1e6:
-# apply_Qc evaluates J at c|x - y| < 2c, finite_hankel at c x y < c
+# the largest c for the transform checks: apply_Qc evaluates bessel_j, whose
+# range is x <= 1e6, at c|x - y| < 2c; mode_transforms' Miller pass starts
+# past order c, so the bound also keeps it to about 1e6 steps
 VERIFY_C_MAX = {"gpswf": 5e5, "cpswf": 1e6}
 
 
@@ -343,10 +344,11 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
     checks.append(_check("dyadic_piece_support", support_leak, 0.0))
 
     if spec.c > 0:
-        # transform eigenvalues mu_n of the first 9 modes, one kernel per rule;
-        # modes with |mu_n| below the noise floor are left out of both checks
+        # transform eigenvalues mu_n of the first 9 modes, their transforms in
+        # closed form; modes with |mu_n| below the noise floor are left out of
+        # both checks.  Q_c keeps its quadrature kernel, a route independent of F
         f = transforms.SampledFunction(rule=rule, values=modes[:9])
-        g = transforms.family_transform(es, f)
+        g = transforms.mode_transforms(es, rule, f.values.shape[0])
         mu = transforms.rayleigh(g, f)
         kept = np.abs(mu) >= 1e-8
         resid = analysis._lp_norms(g.values - mu[:, None] * f.values, rule.weights, 2.0)

@@ -56,7 +56,8 @@ def bump_zero(t):
     u = 2.0 * np.asarray(t, dtype=float) - 1.0
     out = np.where(u <= 0.0, 0.0, np.minimum(u, 1.0))
     mid = (u > 0.0) & (u < 1.0)
-    eu, ev = np.exp(-1.0 / u[mid]), np.exp(-1.0 / (1.0 - u[mid]))
+    um = u[mid]
+    eu, ev = np.exp(-1.0 / um), np.exp(-1.0 / (1.0 - um))
     out[mid] = eu / (eu + ev)
     return float(out) if np.ndim(t) == 0 else out
 
@@ -72,7 +73,8 @@ def bump(t):
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
     inside = (t > 0.5) & (t < 2.0)  # the open support; +0.0 elsewhere
-    out[inside] = bump_zero(t[inside]) - bump_zero(t[inside] / 2.0)
+    ti = t[inside]
+    out[inside] = bump_zero(ti) - bump_zero(ti / 2.0)
     return float(out) if np.ndim(t) == 0 else out
 
 

@@ -5,7 +5,8 @@ three-term recurrence, Gauss-Jacobi rules from recurrence-matrix eigenvalues
 polished by one Newton step (no eigenvectors), a symmetric tridiagonal
 eigensolver (LAPACK divide and conquer *stevd*, its eigenvalues refined as
 Rayleigh quotients through an LDL^T factor; *sterf* for eigenvalues alone),
-and Bessel J of real order.
+and Bessel J of real order, one order at a time or many consecutive orders
+from one Miller recurrence.
 
 The three LAPACK routines come from scipy's compiled ``_flapack`` extension,
 loaded from its file by _load_flapack.  Importing ``scipy.linalg`` for them
@@ -20,7 +21,7 @@ import importlib.machinery
 import importlib.util
 import os
 from dataclasses import dataclass
-from math import gamma, lgamma, log, pi
+from math import exp, gamma, lgamma, log, log2, pi
 
 import numpy as np
 import scipy
@@ -292,31 +293,52 @@ def _ldl_rayleigh(diag, offdiag, w, v):
 
 _SERIES_CUT = 9.0
 _ASYM_CUT = 18.5
-_LOG_MAX = log(np.finfo(float).max)  # np.exp overflows exactly above this
+_RESCALE = 600  # Miller's running values past 2^600 are scaled by 2^-600, exactly
+
+
+def _series_coefficients(order: float) -> tuple[np.ndarray, float]:
+    """The ascending series J_order(x) = (x/2)^order / Gamma(order+1) sum_m b_m u^m
+    in u = q / q_e, q = x^2/4 and q_e its value at the series regime's edge
+    x = max(9, order/2): b_m = (-q_e)^m / (m! (order+1)_m).
+
+    The terms at the edge rise to a peak and then fall; the series stops at
+    the first |b_m| <= 1e-18 max(1, the largest |b_j| before it).  So the
+    term count depends on the order alone, and every u <= 1 is summed to
+    rounding.
+    """
+    edge = max(_SERIES_CUT, 0.5 * order)
+    q_edge = 0.25 * edge * edge
+    coeffs = [1.0]
+    term = peak = 1.0
+    while abs(term) > 1e-18 * peak:
+        m = len(coeffs)
+        term *= -q_edge / (m * (m + order))
+        peak = max(peak, abs(term))
+        coeffs.append(term)
+    return np.array(coeffs), q_edge
 
 
 def _bessel_series(order: float, x: np.ndarray) -> np.ndarray:
-    # ascending series, summed until terms vanish relative to the partial sum
-    q = 0.25 * x * x
+    # a Horner polynomial of fixed length in u: each value is independent of the batch
+    coeffs, q_edge = _series_coefficients(order)
+    u = (0.25 / q_edge) * (x * x)
+    acc = np.full_like(x, coeffs[-1])
+    for b in coeffs[-2::-1]:
+        acc *= u
+        acc += b
     with np.errstate(divide="ignore"):
         lead = np.where(
             x > 0,
             np.exp(order * np.log(np.where(x > 0, 0.5 * x, 1.0)) - lgamma(order + 1)),
             1.0 if order == 0 else (0.0 if order > 0 else np.inf),
         )
-    term = np.ones_like(x)
-    acc = np.ones_like(x)
-    for m in range(1, 200):
-        term = term * (-q) / (m * (m + order))
-        acc = acc + term
-        if np.all(np.abs(term) <= 1e-18 * np.abs(acc) + 1e-300):
-            break
     return lead * acc
 
 
 def _bessel_asymptotic(order: float, x: np.ndarray) -> np.ndarray:
     # Hankel expansion; caller guarantees x >= max(18.5, order^2).  The series
-    # is asymptotic, so each element stops at its smallest term.
+    # is asymptotic, so each element stops at its smallest term, or after its
+    # first term below 1e-17: each value is independent of the batch.
     mu = 4.0 * order * order
     p = np.ones_like(x)
     q = np.zeros_like(x)
@@ -326,66 +348,87 @@ def _bessel_asymptotic(order: float, x: np.ndarray) -> np.ndarray:
     for k in range(1, 200):
         term = term * (mu - (2 * k - 1) ** 2) / (k * 8.0 * x)
         mag = np.abs(term)
-        active &= mag < prev_mag
+        active &= (mag < prev_mag) & (prev_mag >= 1e-17)
+        if not np.any(active):
+            break
         contrib = np.where(active, term, 0.0)
         if k % 2 == 1:
             q = q + ((-1.0) ** ((k - 1) // 2)) * contrib
         else:
             p = p + ((-1.0) ** (k // 2)) * contrib
         prev_mag = mag
-        if np.all(mag[active] < 1e-17):
-            break
     w = x - (0.5 * order + 0.25) * pi
     return np.sqrt(2.0 / (pi * x)) * (p * np.cos(w) - q * np.sin(w))
 
 
-def _bessel_miller(order: float, x: np.ndarray) -> np.ndarray:
-    """Downward recurrence normalized by the Neumann series
-    (x/2)^f = sum_k (f+2k) Gamma(f+k)/k! J_{f+2k}(x), f = frac(order)."""
-    neg = order < 0.0
-    nint = 0 if neg else int(np.floor(order))
-    frac = order - np.floor(order)
-    top = int(np.max(x) + abs(order)) + 40 + int(6.0 * (np.max(x) + abs(order)) ** (1.0 / 3.0))
-    jp = np.zeros_like(x)
-    jc = np.full_like(x, 1e-30)
+def _bessel_miller(order: float, x: np.ndarray, count: int = 1, power: float = 0.0) -> np.ndarray:
+    """J_{order+k}(x) / x^power for k = 0..count-1, shape (count, len(x)),
+    from one downward recurrence in the order at every x >= 0.
+
+    The recurrence runs on v_nu = J_nu(x) / t^nu, t = min(x, 1):
+    v_{nu-1} = (2 nu t / x) v_nu - t^2 v_{nu+1}, whose coefficients are at
+    most 2 nu and 1, so nothing divides by x and x = 0 gives the limits
+    J_nu(x) / x^nu -> 1 / (2^nu Gamma(nu+1)).  It starts past max(x) and the
+    top order, so the batch's largest x sets the start, and is normalized
+    by the Neumann series (x/2)^f = sum_j (f+2j) Gamma(f+j)/j! J_{f+2j}(x),
+    f = frac(order), summed by Horner in t^2 on the way down.
+    A node's running values past 2^600 are scaled by 2^-600, which is exact.
+    order >= -1/2 (below 0 only for x > 0) and order >= power.
+    """
+    n0 = int(np.floor(order))  # -1 for a negative order: the last step is f -> f - 1
+    frac = order - n0
+    reach = float(np.max(x)) + abs(order + count - 1)
+    top = int(reach) + 40 + int(6.0 * reach ** (1.0 / 3.0))
+    # weights c_j = (f+2j) Gamma(f+j)/j! of J_{f+2j}; c_0 = f Gamma(f) is
+    # Gamma(1+f), which stays finite when Gamma(f) overflows (f < 5.6e-309)
+    weights = [gamma(1.0 + frac)] + [
+        2.0 if frac == 0.0 else (frac + 2 * j) * exp(lgamma(frac + j) - lgamma(j + 1.0))
+        for j in range(1, top // 2 + 1)]
+    small = np.minimum(x, 1.0)
+    tsq = small * small if np.any(x < 1.0) else None  # t^2 = 1 everywhere: skipped
+    wide = np.maximum(x, 1.0)  # x / t
+    band = np.empty((count, x.size))
+    vp = np.zeros_like(x)
+    v = np.full_like(x, 1e-30)
     norm = np.zeros_like(x)
-    target = np.zeros_like(x)
-    t0 = np.zeros_like(x)
-    t1 = np.zeros_like(x)
-    for m in range(top, 0, -1):
-        jp, jc = jc, 2.0 * (frac + m) / x * jc - jp
-        if m - 1 == nint:
-            target = jc.copy()
-        if m - 1 == 0:
-            t0 = jc.copy()
-        if m - 1 == 1:
-            t1 = jc.copy()
-        if (m - 1) % 2 == 0:
-            k = (m - 1) // 2
-            if frac == 0.0:
-                norm = norm + (2.0 if k > 0 else 1.0) * jc
-            else:
-                lg = lgamma(frac + k) - lgamma(k + 1.0)
-                # exp(lg) = Gamma(frac) overflows at k = 0 once frac < 5.6e-309;
-                # the term frac Gamma(frac) is Gamma(1 + frac) there
-                weight = gamma(1.0 + frac) if lg > _LOG_MAX else (frac + 2 * k) * np.exp(lg)
-                norm = norm + weight * jc
-        big = np.abs(jc) > 1e250
-        if np.any(big):
-            for arr in (jp, jc, norm, target, t0, t1):
-                arr[big] *= 1e-250
-    scale = (np.exp(frac * np.log(0.5 * x)) if frac != 0.0 else 1.0) / norm
-    if neg:
-        return (2.0 * frac / x * t0 - t1) * scale
-    return target * scale
+    # between checks a value grows by at most (2 (f + top) + 1) per step
+    every = max(1, int(400 / log2(2.0 * (frac + top) + 1.0)))
+    for m in range(top, min(n0, 0), -1):
+        nxt = 2.0 * (frac + m) / wide  # one rounding per step, not a repeated one
+        nxt *= v
+        nxt -= vp if tsq is None else tsq * vp
+        vp, v = v, nxt
+        k = m - 1 - n0  # v is v_{order+k}
+        if 0 <= k < count:
+            band[k] = v
+        if m % 2 == 1:  # v is v_{f+2j}, j = (m - 1) / 2
+            if tsq is not None:
+                norm *= tsq
+            norm += weights[(m - 1) // 2] * v
+        if m % every == 0:
+            big = np.maximum(np.abs(v), np.abs(vp)) > 2.0 ** _RESCALE
+            if np.any(big):
+                for arr in (v, vp, norm):
+                    arr[big] = np.ldexp(arr[big], -_RESCALE)
+                if k < count:  # the rows stored so far, v's own included
+                    stored = band[max(k, 0):]
+                    stored[:, big] = np.ldexp(stored[:, big], -_RESCALE)
+    # J_{order+k} / x^power = v (x / 2t)^f / norm * t^(order+k) / x^power
+    scale = np.exp2(-frac) * x ** np.where(x <= 1.0, order - power, frac - power) / norm
+    band *= scale
+    if tsq is not None and count > 1:
+        band *= small ** np.arange(count)[:, None]
+    return band
 
 
 def bessel_j(order: float, x):
     """J_order(x) for real order >= -1/2 and 0 <= x <= 1e6.
 
     Three regimes: ascending series for small x, Miller downward recurrence
-    through the transition zone, Hankel asymptotics for large x.  Absolute
-    error stays below 1e-12 for x <= 100 and order <= 50.
+    through the transition zone, Hankel asymptotics for large x.  A value
+    depends on the rest of x only through Miller's starting order, which the
+    largest x of that regime sets.  Absolute error stays below 1e-12 for
+    x <= 100 and order <= 50.
     """
     order = float(order)
     if not np.isfinite(order) or order < -0.5:
@@ -415,5 +458,5 @@ def bessel_j(order: float, x):
     if np.any(asym):
         out[asym] = _bessel_asymptotic(order, x[asym])
     if np.any(middle):
-        out[middle] = _bessel_miller(order, x[middle])
+        out[middle] = _bessel_miller(order, x[middle])[0]
     return float(out[0]) if scalar else out

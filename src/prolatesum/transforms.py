@@ -9,12 +9,12 @@ witness that the integral and differential routes agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gamma, pi
+from math import gamma, lgamma, pi
 
 import numpy as np
 
-from .prolate import EigenSystem, Family, require_family_grid
-from .specfun import QuadratureRule, bessel_j
+from .prolate import EigenSystem, Family, _support_rows, require_family_grid
+from .specfun import QuadratureRule, _bessel_miller, bessel_j
 
 
 @dataclass
@@ -55,10 +55,11 @@ def _symmetric_kernel(x: np.ndarray, kernel) -> np.ndarray:
 
     kernel takes the pairs' nodes as two flat arrays, the upper triangle in
     row-major order.  Each transform kernel rounds a pair's argument the same
-    either way (x_i x_j = x_j x_i and |x_i - x_j| = |x_j - x_i| exactly), and
-    bessel_j, whose Miller start and loop exits depend on the whole set of
-    its arguments, sees the same set as on all Q^2 pairs: the matrix is bit
-    for bit the one from all Q^2 evaluations.
+    either way (x_i x_j = x_j x_i and |x_i - x_j| = |x_j - x_i| exactly).  A
+    bessel_j value depends on the rest of its batch only through Miller's
+    starting order, set by the largest argument in that regime, which is the
+    same on the pairs as on all Q^2: the matrix is bit for bit the one from
+    all Q^2 evaluations.
     """
     q = x.size
     upper = np.triu(np.ones((q, q), dtype=bool))
@@ -129,6 +130,43 @@ def family_transform(es: EigenSystem, f: SampledFunction) -> SampledFunction:
     if es.spec.family is Family.GPSWF:
         return finite_fourier(es.spec.alpha, es.spec.c, f)
     return finite_hankel(es.spec.alpha, es.spec.c, f)
+
+
+def mode_transforms(es: EigenSystem, rule: QuadratureRule, count: int) -> SampledFunction:
+    """family_transform of modes 0..count-1, in closed form on rule's nodes.
+
+    Each reference basis function's transform is a Bessel function:
+      GPSWF  int e^{icxy} p_k(y) (1-y^2)^a dy = f_k sign(x)^k J_{k+a+1/2}(c|x|) / (c|x|)^{a+1/2},
+             f_k = i^k sqrt(pi) sqrt((2k+2a+1) Gamma(k+2a+1) / k!)  (Gegenbauer),
+      CPSWF  int_0^1 sqrt(cxy) J_a(cxy) T~_k(y) dy = sqrt(2(2k+a+1)) J_{a+2k+1}(cx) / sqrt(cx)
+             (the Zernike-Hankel pair).
+    So the modes' transforms are (C diag(f_k)) @ J, C the K + 1 rows of
+    coeffs the modes span and J every order at every node from one Miller
+    pass (specfun._bessel_miller): O(K Q) work, no Q x Q kernel.  At x = 0
+    (an odd Gauss-Jacobi rule) J takes its limit.
+    """
+    require_family_grid(rule, es.spec.family, es.spec.alpha, "mode_transforms")
+    if not 1 <= count <= es.n_retained:
+        raise ValueError(f"count must lie in 1..{es.n_retained}")
+    a, c, x = es.spec.alpha, es.spec.c, rule.nodes
+    C = es.coeffs[:, :count]
+    C = C[:_support_rows(C)]
+    k = np.arange(C.shape[0])
+    if es.spec.family is Family.GPSWF:
+        nu = a + 0.5
+        J = _bessel_miller(nu, c * np.abs(x), k.size, power=nu)
+        J[1::2] *= np.sign(x)
+        f = np.sqrt(pi * (2 * k + 2 * a + 1)) * np.exp(
+            0.5 * np.array([lgamma(j + 2 * a + 1) - lgamma(j + 1.0) for j in k]))
+        f[2::4] *= -1.0  # i^k: 1, i, -1, -i
+        f[3::4] *= -1.0
+        # even rows carry the real part, odd rows the imaginary one
+        real = (C[0::2] * f[0::2, None]).T @ J[0::2]
+        imag = (C[1::2] * f[1::2, None]).T @ J[1::2]
+        return SampledFunction(rule=rule, values=real + 1j * imag)
+    J = _bessel_miller(a + 1.0, c * x, 2 * k.size - 1, power=0.5)[0::2]
+    f = np.sqrt(2.0 * (2 * k + a + 1))
+    return SampledFunction(rule=rule, values=(C * f[:, None]).T @ J)
 
 
 def rayleigh(g: SampledFunction, f: SampledFunction):

@@ -614,9 +614,13 @@ class TestModeTable:
 
 
 class TestOneKernelPerRule:
+    # the transforms of the 9 modes are read in closed form, once; the only
+    # kernel verify builds is Q_c's, for gpswf
     @pytest.mark.parametrize("family,alpha,expected", [
-        ("gpswf", "0.5", {"family_transform": 1, "apply_Qc": 1}),
-        ("cpswf", "0.5", {"family_transform": 1, "apply_Qc": 0}),
+        ("gpswf", "0.5", {"mode_transforms": 1, "apply_Qc": 1, "family_transform": 0,
+                          "finite_fourier": 0, "finite_hankel": 0}),
+        ("cpswf", "0.5", {"mode_transforms": 1, "apply_Qc": 0, "family_transform": 0,
+                          "finite_fourier": 0, "finite_hankel": 0}),
     ])
     def test_verify_applies_each_transform_once(self, family, alpha, expected, tmp_path,
                                                 capsys, monkeypatch):

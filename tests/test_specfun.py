@@ -155,6 +155,22 @@ class TestBesselJ:
             ref = np.array([float(mp.besselj(mp.mpf(order), mp.mpf(v))) for v in x])
         assert np.max(np.abs(bessel_j(order, x) - ref)) <= 1e-14
 
+    @settings(max_examples=80, deadline=None)
+    @given(order=st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5, -0.49, 2.2e-311, 400.0]),
+                           st.floats(-0.5, 60.0)),
+           data=st.data())
+    def test_series_and_asymptotic_values_do_not_depend_on_the_batch(self, order, data):
+        # the ascending series has a term count fixed by the order, and each
+        # Hankel-asymptotic value stops at its own term: any subset of
+        # arguments in those two regimes gets the same bits as the whole
+        edge = max(9.0, 0.5 * order)
+        series = st.floats(0.0, edge)
+        asymptotic = st.floats(max(18.5, order * order, edge), 1e6)
+        x = np.array(data.draw(st.lists(series | asymptotic, min_size=1, max_size=40)))
+        keep = np.array(data.draw(st.lists(st.booleans(), min_size=x.size, max_size=x.size)))
+        assert np.array_equal(bessel_j(order, x[keep]), bessel_j(order, x)[keep])
+        assert all(bessel_j(order, v) == w for v, w in zip(x, bessel_j(order, x)))
+
     def test_rejections(self):
         with pytest.raises(ValueError):
             bessel_j(0, -1.0)
@@ -164,6 +180,50 @@ class TestBesselJ:
             bessel_j(0, 2e6)
         with pytest.raises(ValueError):
             bessel_j(0, np.nan)
+
+
+class TestMillerOrders:
+    """specfun._bessel_miller: every order nu0 + k, k <= K, at each node from
+    one downward recurrence, against mpmath."""
+
+    @staticmethod
+    def _reference(nu0, orders, z, power=0.0):
+        import mpmath as mp
+
+        with mp.workdps(30):
+            return np.array([[float(mp.besselj(mp.mpf(nu0) + k, mp.mpf(v)) / mp.mpf(v) ** power)
+                              for v in z] for k in orders])
+
+    @pytest.mark.parametrize("nu0", [0.2, 0.5, 1.0, 1.7, 2.5])
+    def test_every_order_against_mpmath(self, nu0):
+        z = np.array([1e-3, 0.3, 0.999, 1.0, 1.001, 4.5, 9.0, 17.0, 33.3, 60.0])
+        out = specfun._bessel_miller(nu0, z, 301)
+        assert out.shape == (301, z.size)
+        assert np.max(np.abs(out - self._reference(nu0, range(301), z))) <= 2e-15
+
+    def test_rescales_past_the_float_range(self, monkeypatch):
+        # at z = 1e-3 each step down multiplies by about 2 nu: from order 340
+        # down the running values pass 2^1024 many times over, and are rescaled
+        scaled = []
+        ldexp = np.ldexp
+        monkeypatch.setattr(np, "ldexp", lambda *a: scaled.append(1) or ldexp(*a))
+        z = np.array([1e-3, 2e-3, 40.0])
+        out = specfun._bessel_miller(1.7, z, 301)
+        monkeypatch.undo()
+        assert scaled
+        assert np.max(np.abs(out - self._reference(1.7, range(301), z))) <= 2e-15
+
+    @pytest.mark.parametrize("nu0", [0.5, 1.5, 40.5])
+    def test_divided_by_a_power_with_its_limit_at_zero(self, nu0):
+        # J_{nu0+k}(z) / z^nu0, which the closed-form transforms read: at z = 0
+        # the limit 1 / (2^nu0 Gamma(nu0 + 1)) for k = 0 and 0 beyond, with no
+        # division by 0 (a RuntimeWarning fails the test)
+        z = np.array([0.0, 1e-9, 1e-3, 0.7, 3.0, 25.0])
+        out = specfun._bessel_miller(nu0, z, 12, power=nu0)
+        assert out[0, 0] == pytest.approx(1.0 / (2.0**nu0 * math.gamma(nu0 + 1.0)), rel=1e-14)
+        assert np.all(out[1:, 0] == 0.0)
+        ref = self._reference(nu0, range(12), z[1:], power=nu0)
+        assert np.max(np.abs(out[:, 1:] - ref)) <= 1e-15 * max(1.0, np.max(np.abs(ref)))
 
 
 # ---------------------------------------------------------------------------

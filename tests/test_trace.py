@@ -1,8 +1,8 @@
 """The benchmark's tracer binds prolatesum names and argument names
 (`EigenSystem.mode_matrix(x, check_domain)`, the transforms' `f`): run a tiny
 traced op of each traced kind so that a rename fails here, not at benchmark time.
-The verify spans also show that each transform builds one kernel per rule,
-evaluated once per unordered node pair."""
+The verify spans also show that the transforms are read in closed form,
+once per run, and that Q_c's kernel is evaluated once per unordered node pair."""
 
 import json
 import os
@@ -21,12 +21,12 @@ SMALL = ["--n", "16", "--quad-size", str(QUAD)]
 
 
 @pytest.mark.parametrize("args,expected", [
-    (["verify", "--c", "2"], {"prolate.rule_modes", "transforms.finite_fourier"}),
+    (["verify", "--c", "2"], {"prolate.rule_modes", "transforms.mode_transforms"}),
     (["sweep", "--family", "cpswf", "--alpha", "0.5", "--p", "1.5", "--r-count", "3"],
      {"prolate.rule_modes", "analysis.calibrate_lemma1"}),
     (["kernel", "--grid-points", "4"], {"riesz.riesz_kernel_table"}),
     (["verify", "--family", "cpswf", "--alpha", "0.5", "--c", "2"],
-     {"prolate.rule_modes", "transforms.finite_hankel"}),
+     {"prolate.rule_modes", "transforms.mode_transforms"}),
 ])
 def test_traced_worker_op(args, expected, tmp_path):
     spans_path = tmp_path / "spans.jsonl"
@@ -44,14 +44,16 @@ def test_traced_worker_op(args, expected, tmp_path):
     assert all("flops" in s for s in spans if s["name"] == "prolate.mode_matrix")
     assert any(s["name"] == "prolate.mode_matrix" for s in spans)
     if args[0] == "verify":
-        assert any("kernel_entries" in s for s in spans if s["name"].startswith("transforms."))
-        # one kernel per rule: each transform is applied once, to the block of modes
+        # the closed-form transforms once, to the block of modes; Q_c's kernel
+        # (gpswf only) is the one transform kernel
         counts = {n: sum(s["name"] == f"transforms.{n}" for s in spans)
-                  for n in ("finite_fourier", "finite_hankel", "apply_Qc")}
+                  for n in ("mode_transforms", "finite_fourier", "finite_hankel", "apply_Qc")}
         gpswf = "cpswf" not in args
-        assert counts == {"finite_fourier": int(gpswf), "finite_hankel": int(not gpswf),
+        assert counts == {"mode_transforms": 1, "finite_fourier": 0, "finite_hankel": 0,
                           "apply_Qc": int(gpswf)}
-        # each symmetric kernel calls bessel_j once per unordered node pair, less
-        # the Q_c kernel's diagonal, which takes its t -> 0 limit without it
+        assert [s["kernel_entries"] for s in spans if "kernel_entries" in s] == [QUAD**2] * int(gpswf)
+        # the Q_c kernel calls bessel_j once per unordered node pair, less its
+        # diagonal, which takes its t -> 0 limit without it; the closed form
+        # runs its own Miller pass and calls no bessel_j
         points = sum(s.get("points", 0) for s in spans if s["name"] == "specfun.bessel_j")
-        assert points == (QUAD * (QUAD - 1) // 2 if gpswf else QUAD * (QUAD + 1) // 2)
+        assert points == (QUAD * (QUAD - 1) // 2 if gpswf else 0)

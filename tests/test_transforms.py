@@ -15,6 +15,7 @@ from prolatesum.transforms import (
     family_transform,
     finite_fourier,
     finite_hankel,
+    mode_transforms,
     rayleigh,
     sample_mode,
 )
@@ -287,6 +288,49 @@ class TestEstimateMu:
             estimate_mu(0.1, 5.0, es_g5, 0)
         with pytest.raises(ValueError):
             estimate_mu(0.0, 5.0, es_g5, 200)
+
+
+class TestModeTransforms:
+    """The closed-form transforms of the first modes against the quadrature
+    kernels finite_fourier and finite_hankel, which stay as their oracle."""
+
+    @pytest.mark.parametrize("family,alpha,c,N,size", [
+        ("gpswf", 0.0, 5.0, 128, 512), ("gpswf", 0.0, 30.0, 256, 512),
+        ("gpswf", 1.0, 16.0, 128, 257), ("gpswf", 1.0, 30.0, 256, 512),
+        ("cpswf", 0.5, 4.0, 128, 512), ("cpswf", 0.5, 30.0, 256, 384),
+        ("cpswf", 1.5, 7.0, 128, 512), ("cpswf", 1.5, 30.0, 256, 512),
+        # an odd Gauss-Jacobi rule has an exact 0 node, where J_{k+a+1/2}(c|x|) / (c|x|)^{a+1/2}
+        # takes its limit, with no division by 0 (a RuntimeWarning fails the test)
+        ("gpswf", 0.5, 4.0, 128, 513),
+    ])
+    def test_against_the_quadrature_kernel(self, family, alpha, c, N, size):
+        es = solve(ProlateSpec(family=family, alpha=alpha, c=c, N=N))
+        rule = es.default_rule(size)
+        g = mode_transforms(es, rule, 9)
+        expected = family_transform(es, SampledFunction(rule=rule, values=es.rule_modes(rule)[:9]))
+        assert g.rule is rule and g.values.shape == (9, size)
+        assert np.max(np.abs(g.values - expected.values)) <= 1e-13 * np.max(np.abs(expected.values))
+
+    def test_eigenrelation_is_tighter_than_the_kernel(self, es_c5):
+        # cpswf alpha = 1/2, c = 5: verify's residual |F phi - mu phi| / |mu| over
+        # the modes with |mu| >= 1e-8 is far smaller from the closed form
+        rule = es_c5.default_rule(512)
+        f = SampledFunction(rule=rule, values=es_c5.rule_modes(rule)[:9])
+
+        def worst(g):
+            mu = rayleigh(g, f)
+            resid = np.sqrt(np.sum(rule.weights * np.abs(g.values - mu[:, None] * f.values) ** 2, axis=-1))
+            return np.max((resid / np.abs(mu))[np.abs(mu) >= 1e-8])
+
+        assert worst(mode_transforms(es_c5, rule, 9)) <= 1e-12 < worst(family_transform(es_c5, f))
+
+    def test_rejections(self, es_g5, es_c5):
+        with pytest.raises(ValueError, match="count"):
+            mode_transforms(es_g5, es_g5.default_rule(), 0)
+        with pytest.raises(ValueError, match="count"):
+            mode_transforms(es_g5, es_g5.default_rule(), es_g5.n_retained + 1)
+        with pytest.raises(ValueError, match="Gauss-Legendre"):
+            mode_transforms(es_c5, es_g5.default_rule(), 3)
 
 
 class TestCommutationWitness:
