@@ -110,12 +110,14 @@ class ProlateSpec:
 
 
 class GalerkinBlock(NamedTuple):
-    """One symmetric tridiagonal block (diag, off) of the Galerkin matrix and
-    the basis rows it couples, so that its eigenvectors fill coeffs[rows]."""
+    """One symmetric tridiagonal block (diag, off) of the Galerkin matrix, the
+    basis rows it couples, so that its eigenvectors fill coeffs[rows], and
+    tail, the untruncated operator's coupling of its last row to the next."""
 
     rows: slice
     diag: np.ndarray
     off: np.ndarray
+    tail: float
 
 
 def _free_spectrum(spec: ProlateSpec, size: int) -> np.ndarray:
@@ -143,15 +145,16 @@ def build_galerkin(spec: ProlateSpec) -> tuple[GalerkinBlock, ...]:
         _, beta = jacobi_recurrence(N + 2, a, a)
         k = np.arange(N)
         diag = _free_spectrum(spec, N) + c2 * (beta[k + 1] + np.where(k >= 1, beta[k], 0.0))
-        off = c2 * np.sqrt(beta[k[:-2] + 1] * beta[k[:-2] + 2])
-        return tuple(GalerkinBlock(slice(r, None, 2), diag[r::2], off[r::2]) for r in (0, 1))
+        off = c2 * np.sqrt(beta[k + 1] * beta[k + 2])  # row k to k + 2, the last two past N
+        return tuple(GalerkinBlock(slice(r, None, 2), diag[r::2], off[r::2][:-1], float(off[r::2][-1]))
+                     for r in (0, 1))
     # CPSWF: in the T~ basis, <x^2 T~_k, T~_j> = (1 - alpha_k)/2 on the
     # diagonal and -sqrt(beta_{k+1})/2 on the first off-diagonal, with
     # alpha_k, beta_k the (a, 0) Jacobi recurrence coefficients in u = 1-2x^2.
     rec_a, rec_b = jacobi_recurrence(N + 1, a, 0.0)
     diag = _free_spectrum(spec, N) + c2 * (1.0 - rec_a[:N]) / 2.0
-    off = -c2 * np.sqrt(rec_b[1:N]) / 2.0
-    return (GalerkinBlock(slice(None), diag, off),)
+    off = -c2 * np.sqrt(rec_b[1:]) / 2.0  # row k to k + 1, the last past N
+    return (GalerkinBlock(slice(None), diag, off[:-1], float(off[-1])),)
 
 
 # largest |sum_j w_j phi_n(y_j)^2 - 1| a rule may leave on the retained modes
@@ -175,7 +178,11 @@ class EigenSystem:
     support_rows is L + 1, L the last row of coeffs holding a nonzero entry
     (at least 1): every row past L is zero, so a mode table needs only the
     basis rows of degree <= L.  solve passes it; otherwise it is read from
-    coeffs.
+    coeffs.  chi_error (from solve) bounds |chi_n - lambda_n|, lambda_n the
+    untruncated operator's n-th eigenvalue, up to rounding.  It is a proof
+    only along a prefix (Cauchy interlacing ties chi_n to lambda_n only while
+    every lower chi is certified) and given the gaps read from neighbouring
+    Ritz values, not from a Sturm count.
     """
 
     spec: ProlateSpec
@@ -183,6 +190,7 @@ class EigenSystem:
     coeffs: np.ndarray
     parity: np.ndarray | None = field(default=None)
     support_rows: int | None = field(default=None)
+    chi_error: np.ndarray | None = field(default=None)
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -296,61 +304,50 @@ class EigenSystem:
 # retained eigenvectors to decay below the certificate's residual before the
 # window's last row, so that the first window nearly always certifies
 WINDOW_PAD = 32
+CHI_TOL = 1e-10  # largest chi_error(n) / max(1, chi_n) that solve returns
 
 
-def _solve_leading(b: GalerkinBlock, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k leading eigenpairs of block b, solved on a leading window of its
-    rows; the eigenvectors have the window's length.
-
-    A window eigenvector v padded with zeros has, in the whole block, the
-    residual |off[w-1] v[w-1]| for a window of w rows: the one coupling to
-    the row below.  The window is accepted when that residual is at most
-    eps * max|theta| (theta the window's eigenvalues) for all k vectors,
-    which is the accuracy of the window solve itself: each padded vector is
-    then an eigenvector of the whole block to that accuracy, and Cauchy
-    interlacing keeps the window's eigenvalues above the block's.  The exact
-    zeros the eigensolver leaves where a vector has decayed pass.  Otherwise
-    the window doubles, up to the whole block.
+def _solve_leading(b: GalerkinBlock, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The k + 1 leading eigenpairs of block b (fewer if it has fewer rows)
+    on a leading window of w rows, and each one's residual r = |e v[w-1]| in
+    the untruncated operator: e couples row w - 1 to the next, off[w-1] in
+    the block and tail past it.  The window doubles, up to the whole block,
+    until the first k residuals are at most eps * max|theta|, the window
+    solve's own accuracy.  r shows only that some eigenvalue lies within r
+    of theta; the (k + 1)-th pair, never retained, is the k-th's neighbour
+    for solve's Kato-Temple bound.
     """
     n = b.diag.size
     size = min(n, k + WINDOW_PAD)
     while True:
         w, v = symtridiag_eigen(b.diag[:size], b.off[: size - 1])
-        if size == n or np.all(np.abs(b.off[size - 1] * v[-1, :k])
-                               <= np.finfo(float).eps * np.max(np.abs(w))):
-            return w[:k], v[:, :k]
+        r = np.abs((b.off[size - 1] if size < n else b.tail) * v[-1, : k + 1])
+        if size == n or np.all(r[:k] <= np.finfo(float).eps * np.max(np.abs(w))):
+            return w[: k + 1], v[:, : k + 1], r
         size = min(n, 2 * size)
 
 
-def _spectrum(spec: ProlateSpec):
-    """The merged block spectra: each block solved on a leading window of its
-    rows (_solve_leading), the eigenvalues sorted ascending and the first
-    floor(N * keep_fraction) retained.  Returns the retained chi, each one's
-    block and column in that block's window solve, the blocks, their solves.
-    """
-    blocks = build_galerkin(spec)
-    # The Galerkin matrix is D + c^2 X with 0 <= X <= I, so block eigenvalue j
-    # is at least free(rows[j]) and chi_{m-1} at most free(m-1) + c^2: only
-    # the k leading pairs of a block whose rows pass that bound can be kept.
-    free = _free_spectrum(spec, spec.N)
-    bound = free[spec.n_retained - 1] + spec.c**2
-    solved = [_solve_leading(b, np.count_nonzero(free[b.rows] <= bound)) for b in blocks]
-    chi = np.concatenate([w for w, _ in solved])
-    block = np.concatenate([np.full(w.size, i) for i, (w, _) in enumerate(solved)])
-    column = np.concatenate([np.arange(w.size) for w, _ in solved])
-    order = np.argsort(chi)[: spec.n_retained]
-    chi = chi[order]
-    if np.any(np.diff(chi) <= 0):
-        raise NumericsError("merged spectrum is not strictly increasing")
-    return chi, block[order], column[order], blocks, solved
+def _kato_temple(theta: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Kato-Temple bounds min(r, r^2 / (gap - r)) on |lambda - theta| for one
+    block's ascending Ritz values theta with residuals r (Parlett 1998, ch.
+    10), the gap to the neighbours' intervals theta_j +- r_j: none below the
+    lowest (the spectrum is bounded below), none known above the last."""
+    step = np.diff(theta)
+    gap = np.minimum(np.concatenate(([np.inf], step - r[:-1])),
+                     np.concatenate((step - r[1:], [0.0])))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # fmin drops the NaN of 0 / 0 (r = 0 with no gap)
+        return np.fmin(r, r * r / np.maximum(gap - r, 0.0))
 
 
 def solve(spec: ProlateSpec) -> EigenSystem:
-    """Solve the Galerkin eigenproblem and keep the converged leading pairs.
-
-    Only the retained columns of the merged spectrum (_spectrum) are placed,
-    each at its block's rows, with the positive-leading-coefficient sign
-    convention and (GPSWF) its block as parity tag: no (N, N) array is formed.
+    """Solve the Galerkin eigenproblem and keep the m = floor(N * keep_fraction)
+    leading pairs of the merged block spectra (_solve_leading), each with the
+    Kato-Temple bound of its block as chi_error.  Raises NumericsError unless
+    every chi_error(n) <= CHI_TOL * max(1, chi_n).  Only the retained columns
+    are placed, at their block's rows, with the positive-leading-coefficient
+    sign convention and (GPSWF) their block as parity tag: no (N, N) array is
+    formed.
     """
     if not spec.theorem_range_ok:
         warnings.warn(
@@ -359,8 +356,32 @@ def solve(spec: ProlateSpec) -> EigenSystem:
             "thresholds are not asserted there",
             stacklevel=2,
         )
-    chi, block, column, blocks, solved = _spectrum(spec)
-    cols = np.zeros((spec.N, chi.size))
+    blocks = build_galerkin(spec)
+    # The Galerkin matrix is D + c^2 X with 0 <= X <= I, so block eigenvalue j
+    # is at least free(rows[j]) and chi_{m-1} at most free(m-1) + c^2: only
+    # the k leading pairs of a block whose rows pass that bound can be kept.
+    free = _free_spectrum(spec, spec.N)
+    bound = free[spec.n_retained - 1] + spec.c**2
+    solved = [_solve_leading(b, np.count_nonzero(free[b.rows] <= bound)) for b in blocks]
+    theta = np.concatenate([w for w, _, _ in solved])
+    block = np.concatenate([np.full(w.size, i) for i, (w, _, _) in enumerate(solved)])
+    column = np.concatenate([np.arange(w.size) for w, _, _ in solved])
+    order = np.argsort(theta)
+    theta = theta[order]
+    error = np.concatenate([_kato_temple(w, r) for w, _, r in solved])[order]
+    m = spec.n_retained
+    chi, error, block, column = theta[:m], error[:m], block[order[:m]], column[order[:m]]
+    if np.any(np.diff(chi) <= 0):
+        raise NumericsError("merged spectrum is not strictly increasing")
+    # the certified prefix (see EigenSystem)
+    certified = np.cumprod(error <= CHI_TOL * np.maximum(1.0, chi)).sum()
+    if certified < m:
+        raise NumericsError(
+            f"the Galerkin truncation certifies only {certified} of the {m} retained "
+            f"eigenvalues at N={spec.N}, c={spec.c:g} (chi error bound "
+            f"{error[certified]:.3g} at n={certified}); use a larger N or a smaller keep fraction"
+        )
+    cols = np.zeros((spec.N, m))
     support = 1
     for i, b in enumerate(blocks):
         picked = block == i
@@ -384,6 +405,7 @@ def solve(spec: ProlateSpec) -> EigenSystem:
         coeffs=cols,
         parity=block if spec.family is Family.GPSWF else None,
         support_rows=support,
+        chi_error=error,
     )
 
 

@@ -318,21 +318,34 @@ def _series_coefficients(order: float) -> tuple[np.ndarray, float]:
     return np.array(coeffs), q_edge
 
 
-def _bessel_series(order: float, x: np.ndarray) -> np.ndarray:
-    # a Horner polynomial of fixed length in u: each value is independent of the batch
+def _bessel_series_sum(order: float, x: np.ndarray) -> np.ndarray:
+    # Gamma(order+1) (2/x)^order J_order(x) in the series regime: a Horner
+    # polynomial of fixed length in u, so each value is independent of the batch
     coeffs, q_edge = _series_coefficients(order)
     u = (0.25 / q_edge) * (x * x)
     acc = np.full_like(x, coeffs[-1])
     for b in coeffs[-2::-1]:
         acc *= u
         acc += b
-    with np.errstate(divide="ignore"):
-        lead = np.where(
-            x > 0,
-            np.exp(order * np.log(np.where(x > 0, 0.5 * x, 1.0)) - lgamma(order + 1)),
-            1.0 if order == 0 else (0.0 if order > 0 else np.inf),
-        )
-    return lead * acc
+    return acc
+
+
+def _bessel_normalised(order: float, x: np.ndarray) -> np.ndarray:
+    """Gamma(order+1) (2/x)^order J_order(x), 1 at x = 0, for order >= 0: the
+    series' sum in its regime, past it bessel_j times the factor taken in log
+    space, so neither J_order nor x^order need be representable."""
+    if order == 0.5:  # exact closed form sin(x) / x, as in bessel_j
+        return np.where(x > 0, np.sin(x) / np.where(x > 0, x, 1.0), 1.0)
+    edge = max(_SERIES_CUT, 0.5 * order)
+    out, series = np.empty_like(x), x <= edge
+    out[series] = _bessel_series_sum(order, x[series])
+    if not np.all(series):
+        # the factor is largest at the regime's edge, about e^(0.39 order)
+        if lgamma(order + 1.0) + order * log(2.0 / edge) > 700.0:
+            raise ValueError(f"order {order} is too large: Gamma(order+1) (2/x)^order overflows")
+        rest = x[~series]
+        out[~series] = bessel_j(order, rest) * np.exp(lgamma(order + 1.0) + order * np.log(2.0 / rest))
+    return out
 
 
 def _bessel_asymptotic(order: float, x: np.ndarray) -> np.ndarray:
@@ -444,17 +457,23 @@ def bessel_j(order: float, x):
 
     out = np.empty_like(x)
     if order == 0.5:
-        # exact closed form sqrt(2/(pi x)) sin x;  J_{1/2}(0) = 0
+        # exact closed form sqrt(2/(pi x)) sin x;  J_{1/2}(0) = 0.  Dividing by
+        # sqrt(x), not x, keeps a subnormal x from overflowing 2 / (pi x)
         nz = x > 0
         out[~nz] = 0.0
-        out[nz] = np.sqrt(2.0 / (pi * x[nz])) * np.sin(x[nz])
+        out[nz] = np.sqrt(2.0 / pi) * (np.sin(x[nz]) / np.sqrt(x[nz]))
         return float(out[0]) if scalar else out
 
     series = x <= max(_SERIES_CUT, 0.5 * order)
     asym = ~series & (x >= max(_ASYM_CUT, order * order))
     middle = ~series & ~asym
     if np.any(series):
-        out[series] = _bessel_series(order, x[series])
+        xs = x[series]
+        with np.errstate(divide="ignore"):  # the lead (x/2)^order / Gamma(order+1)
+            lead = np.where(xs > 0, np.exp(order * np.log(np.where(xs > 0, 0.5 * xs, 1.0))
+                                           - lgamma(order + 1)),
+                            1.0 if order == 0 else (0.0 if order > 0 else np.inf))
+        out[series] = lead * _bessel_series_sum(order, xs)
     if np.any(asym):
         out[asym] = _bessel_asymptotic(order, x[asym])
     if np.any(middle):

@@ -9,12 +9,12 @@ witness that the integral and differential routes agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gamma, lgamma, pi
+from math import exp, lgamma, log, pi
 
 import numpy as np
 
 from .prolate import EigenSystem, Family, _support_rows, require_family_grid
-from .specfun import QuadratureRule, _bessel_miller, bessel_j
+from .specfun import QuadratureRule, _bessel_miller, _bessel_normalised, bessel_j
 
 
 @dataclass
@@ -79,23 +79,13 @@ def finite_fourier(alpha: float, c: float, f: SampledFunction) -> SampledFunctio
 
 
 def bandlimit_kernel(alpha: float, t) -> np.ndarray:
-    """sqrt(pi) 2^(a+1/2) Gamma(a+1) J_{a+1/2}(t) / t^(a+1/2), even in t.
-
-    At alpha = 0 this is 2 sin(t)/t with value 2 at t = 0.
+    """sqrt(pi) 2^(a+1/2) Gamma(a+1) J_{a+1/2}(t) / t^(a+1/2), even in t: the
+    Gamma ratio sqrt(pi) Gamma(a+1) / Gamma(a+3/2), taken in log space, times
+    Gamma(nu+1) (2/t)^nu J_nu(t), nu = a + 1/2, which is 1 at t = 0.  At
+    alpha = 0 this is 2 sin(t)/t with value 2 at t = 0.
     """
-    try:
-        gamma_1, gamma_15 = gamma(alpha + 1), gamma(alpha + 1.5)
-    except OverflowError:
-        raise ValueError(f"alpha={alpha} is too large: Gamma(alpha + 3/2) overflows") from None
     t = np.abs(np.atleast_1d(np.asarray(t, dtype=float)))
-    out = np.empty_like(t)
-    tiny = t < 1e-8
-    out[tiny] = np.sqrt(pi) * gamma_1 / gamma_15
-    if np.any(~tiny):
-        ts = t[~tiny]
-        out[~tiny] = (np.sqrt(pi) * 2 ** (alpha + 0.5) * gamma_1
-                      * bessel_j(alpha + 0.5, ts) / ts ** (alpha + 0.5))
-    return out
+    return np.sqrt(pi) * exp(lgamma(alpha + 1.0) - lgamma(alpha + 1.5)) * _bessel_normalised(alpha + 0.5, t)
 
 
 def apply_Qc(alpha: float, c: float, f: SampledFunction) -> SampledFunction:
@@ -132,6 +122,11 @@ def family_transform(es: EigenSystem, f: SampledFunction) -> SampledFunction:
     return finite_hankel(es.spec.alpha, es.spec.c, f)
 
 
+# 2^(alpha+1/2) Gamma(alpha+3/2), which mode_transforms forms for GPSWF, is
+# e^700 at alpha = 148 and past the float range from 149.6
+GPSWF_ALPHA_MAX = 148.0
+
+
 def mode_transforms(es: EigenSystem, rule: QuadratureRule, count: int) -> SampledFunction:
     """family_transform of modes 0..count-1, in closed form on rule's nodes.
 
@@ -154,10 +149,15 @@ def mode_transforms(es: EigenSystem, rule: QuadratureRule, count: int) -> Sample
     k = np.arange(C.shape[0])
     if es.spec.family is Family.GPSWF:
         nu = a + 0.5
+        if a > GPSWF_ALPHA_MAX:
+            raise ValueError(f"alpha={a} is too large: 2^(alpha+1/2) Gamma(alpha+3/2) overflows")
+        # J times S = 2^nu Gamma(nu + 1) and f_k over S: f_k overflows at large alpha
+        scale = lgamma(nu + 1.0) + nu * log(2.0)
         J = _bessel_miller(nu, c * np.abs(x), k.size, power=nu)
+        J *= exp(scale)
         J[1::2] *= np.sign(x)
         f = np.sqrt(pi * (2 * k + 2 * a + 1)) * np.exp(
-            0.5 * np.array([lgamma(j + 2 * a + 1) - lgamma(j + 1.0) for j in k]))
+            np.array([0.5 * (lgamma(j + 2 * a + 1) - lgamma(j + 1.0)) - scale for j in k]))
         f[2::4] *= -1.0  # i^k: 1, i, -1, -i
         f[3::4] *= -1.0
         # even rows carry the real part, odd rows the imaginary one

@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import prolatesum
-from prolatesum import cli, transforms
+from prolatesum import cli, prolate, transforms
 from prolatesum.analysis import convergence_sweep
 from prolatesum.cli import (
     EXIT_USAGE,
@@ -27,7 +27,7 @@ from prolatesum.cli import (
     main,
     run,
 )
-from prolatesum.prolate import EigenSystem, ProlateSpec, solve
+from prolatesum.prolate import EigenSystem, ProlateSpec, build_galerkin, solve
 from prolatesum.riesz import RieszConfig, riesz_kernel_table
 
 
@@ -86,10 +86,17 @@ class TestVerify:
             assert set(c) == {"name", "pass", "value", "tolerance"}
 
     def test_too_few_modes_exit_1(self, capsys):
-        code, _, err = run_cli(["verify", "--n", "4"], capsys)
+        code, _, err = run_cli(["verify", "--n", "8", "--keep-fraction", "0.25"], capsys)
         assert code == 1
         assert err.startswith("error:")
         assert "have 2" in err
+
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    def test_uncertified_truncation_exit_3(self, command, capsys):
+        # at N = 4 chi_0 is off by 7.5e-6: solve rejects it before any mode count
+        code, _, err = run_cli([command, "--n", "4"], capsys)
+        assert code == 3
+        assert err.startswith("numerical failure: the Galerkin truncation certifies only 0 of the 2")
 
     def test_verify_deterministic(self, tmp_path, capsys):
         out = tmp_path / "a.json"
@@ -129,6 +136,25 @@ class TestVerify:
         assert code == 1
         assert err.startswith("error: verify needs --c <= " + bound)
 
+    @pytest.mark.parametrize("quad", ["128", "512", "2048"])
+    def test_large_alpha_does_not_depend_on_the_rule(self, quad, tmp_path, capsys, monkeypatch):
+        # alpha = 100: Q_c's kernel once read nan and 0 near t = 0, so the run
+        # passed at 128 nodes, failed qc_eigenvalue_consistency (1.6e-3) at
+        # 512 and exited 1 at 2048.  alpha = 150: 2^nu Gamma(nu + 1) overflows,
+        # and verify says so before it solves
+        out = tmp_path / "v.json"
+        args = ["verify", "--family", "gpswf", "--c", "4", "--n", "64", "--quad-size", quad]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # alpha outside the theorem range
+            assert run_cli([*args, "--alpha", "100", "--output", str(out)], capsys)[0] == 0
+            checks = {c["name"]: c["value"] for c in json.loads(out.read_text())["checks"]}
+            assert checks["qc_eigenvalue_consistency"] <= 1e-14
+            assert checks["transform_eigenrelation_residual"] <= 1e-12
+            monkeypatch.setattr(cli, "solve", lambda spec: pytest.fail("solved"))
+            code, _, err = run_cli([*args, "--alpha", "150"], capsys)
+        assert code == 1
+        assert err.startswith("error: verify needs --alpha <= 148 for gpswf")
+
     def test_csv_is_three_json_lines(self, capsys):
         code, out, _ = run_cli(["verify", "--n", "16", "--quad-size", "32", "--format", "csv"], capsys)
         assert code == 0
@@ -142,7 +168,7 @@ class TestVerify:
 
 
 class TestTruncationRefinement:
-    """The check compares chi_n of the N and 2N solves relative to max(1, chi_n)."""
+    """The check reads solve's bound on |chi_n - lambda_n| relative to max(1, chi_n)."""
 
     @staticmethod
     def _check(path):
@@ -151,7 +177,7 @@ class TestTruncationRefinement:
 
     def test_rounding_drift_at_large_n_passes(self, tmp_path, capsys):
         # whole-block solves drift by about 2.9e-10 absolute here, from rounding
-        # alone; the N and 2N solves now share one certified window and agree
+        # alone; the certified window's residuals are far below that
         out = tmp_path / "v.json"
         code, _, _ = run_cli(["verify", "--n", "1024", "--c", "20", "--quad-size", "1200",
                               "--output", str(out)], capsys)
@@ -159,32 +185,38 @@ class TestTruncationRefinement:
         check = self._check(out)
         assert check["pass"] and check["value"] <= 1e-13
 
-    def test_unconverged_solve_fails(self, tmp_path, capsys):
+    @pytest.mark.parametrize("family,alpha,c,n,certified", [
+        ("gpswf", "0", "200", "64", 0), ("gpswf", "0", "200", "128", 21), ("cpswf", "1.5", "300", "64", 4)])
+    def test_unconverged_solve_fails(self, family, alpha, c, n, certified, tmp_path, capsys):
+        # c >> N: both blocks are solved whole, and their chi are off by up to 72%
         out = tmp_path / "v.json"
-        code, _, _ = run_cli(["verify", "--c", "200", "--n", "64", "--output", str(out)], capsys)
-        assert code == 2
-        check = self._check(out)
-        # c >> N: every row is retainable, so both blocks are solved whole
-        assert not check["pass"] and check["value"] == pytest.approx(0.42, abs=0.005)
+        code, _, err = run_cli(["verify", "--family", family, "--alpha", alpha, "--c", c, "--n", n,
+                                "--output", str(out)], capsys)
+        assert code == 3 and not out.exists()
+        assert err.startswith(f"numerical failure: the Galerkin truncation certifies only {certified} of ")
+        assert f"N={n}, c={c}" in err
 
-    @pytest.mark.parametrize("args,code", [(["--n", "64", "--c", "4"], 0), (["--n", "64", "--c", "200"], 2)])
+    @pytest.mark.parametrize("args,code", [(["--n", "64", "--c", "4"], 0), (["--n", "64", "--c", "200"], 3)])
     def test_one_solve_per_run(self, args, code, tmp_path, capsys, monkeypatch):
-        # the 2N refinement reads the merged spectrum alone, not a second solve
-        specs = []
+        # the check reads the bound solve stored: one Galerkin matrix, one solve
+        specs, built = [], []
 
         def counting(spec):
             specs.append(spec)
             return solve(spec)
 
+        def building(spec):
+            built.append(spec)
+            return build_galerkin(spec)
+
         monkeypatch.setattr(cli, "solve", counting)
+        monkeypatch.setattr(prolate, "build_galerkin", building)
         out = tmp_path / "v.json"
         assert run_cli(["verify", *args, "--output", str(out)], capsys)[0] == code
-        assert len(specs) == 1
-        # the value a full 2N solve gives
-        es = solve(specs[0])
-        es2 = solve(replace(specs[0], N=128, keep_fraction=0.25))
-        drift = np.abs(es.chi - es2.chi[: es.n_retained]) / np.maximum(1.0, es.chi)
-        assert self._check(out)["value"] == float(np.max(drift))
+        assert built == specs and len(specs) == 1
+        if code == 0:
+            es = solve(specs[0])
+            assert self._check(out)["value"] == float(np.max(es.chi_error / np.maximum(1.0, es.chi)))
 
 
 class TestRuleResolution:
@@ -261,7 +293,7 @@ class TestSweep:
         assert code == 1
         assert "exceeds certified spectrum" in err
 
-    @pytest.mark.parametrize("n,retained", [("10", 5), ("8", 4), ("4", 2)])
+    @pytest.mark.parametrize("n,retained", [("10", 5), ("8", 4)])
     def test_default_grid_too_few_modes_exit_1(self, n, retained, capsys):
         code, _, err = run_cli(["sweep", "--n", n], capsys)
         assert code == 1

@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -17,7 +18,6 @@ from prolatesum.prolate import (
     Family,
     ProlateSpec,
     _free_spectrum,
-    _spectrum,
     build_galerkin,
     check_bounds,
     family_grid,
@@ -199,10 +199,10 @@ class TestSolve:
         solve_leading = prolate._solve_leading
 
         def repeated(b, k):
-            w, v = solve_leading(b, k)
+            w, v, r = solve_leading(b, k)
             w = w.copy()
             w[1] = w[0]
-            return w, v
+            return w, v, r
 
         monkeypatch.setattr(prolate, "_solve_leading", repeated)
         with pytest.raises(NumericsError, match="merged spectrum is not strictly increasing"):
@@ -224,7 +224,7 @@ def full_width_solve(spec):
     permuted by the merged spectrum, then cut to the retained m."""
     N = spec.N
     chi_parts, col_parts, parity_parts = [], [], []
-    for offset, (rows, diag, off) in enumerate(build_galerkin(spec)):
+    for offset, (rows, diag, off, _) in enumerate(build_galerkin(spec)):
         w, v = symtridiag_eigen(diag, off)
         cols = np.zeros((N, w.size))
         cols[rows] = v
@@ -287,7 +287,12 @@ class TestRetainedColumnsOnly:
                 with pytest.raises(NumericsError):
                     solve(spec)
                 return
-            es, sizes = recorded_solve(spec)
+            try:
+                es, sizes = recorded_solve(spec)
+            except NumericsError as err:
+                # c too large for N: the truncation certificate rejects it
+                assert "Galerkin truncation certifies only" in str(err)
+                return
         blocks = build_galerkin(spec)
         assert es.coeffs.shape == cols.shape
         owner = es.parity if family is Family.GPSWF else np.zeros(es.n_retained, dtype=int)
@@ -295,10 +300,6 @@ class TestRetainedColumnsOnly:
             assert es.parity.tobytes() == parity.tobytes()
         else:
             assert es.parity is None
-        # the merge alone gives solve's chi and block tags, byte for byte
-        merged_chi, block = _spectrum(spec)[:2]
-        assert merged_chi.tobytes() == es.chi.tobytes()
-        assert block.tobytes() == owner.tobytes()
         if [s[-1] for s in sizes] == [b.diag.size for b in blocks]:
             # every block solved whole: tobytes also compares the signs of zero entries
             assert es.chi.tobytes() == chi.tobytes()
@@ -356,6 +357,66 @@ class TestRetainedColumnsOnly:
         finally:
             tracemalloc.stop()
         assert peak < 1.6 * es.coeffs.nbytes
+
+
+class TestTruncationCertificate:
+    """solve returns chi only where the Kato-Temple bound of each retained
+    pair's residual in the untruncated operator is within CHI_TOL."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from([Family.GPSWF, Family.CPSWF]), alpha=st.floats(-0.45, 3.0),
+           c_over_N=st.floats(0.0, 3.0) | st.floats(3.0, 1000.0), N=st.integers(4, 200),
+           keep=st.sampled_from([0.25, 0.5, 1.0]))
+    def test_certified_chi_match_a_4N_solve(self, family, alpha, c_over_N, N, keep):
+        spec = ProlateSpec(family=family, alpha=alpha, c=c_over_N * N, N=N, keep_fraction=keep)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # alpha outside the theorem range
+            try:
+                es = solve(spec)
+            except NumericsError as err:
+                assert "Galerkin truncation certifies only" in str(err)
+                return
+            chi4 = solve(replace(spec, N=4 * N, keep_fraction=keep / 4)).chi
+        scale = np.maximum(1.0, es.chi)
+        err = np.abs(es.chi - chi4)
+        assert np.all(err <= 1e-10 * scale)
+        # the bound holds up to the rounding of two different eigensolves (a few ulp)
+        assert np.all(err <= es.chi_error + 1e-14 * scale)
+
+    @pytest.mark.parametrize("family,alpha,c,N,certified", [
+        (Family.GPSWF, 0.0, 200.0, 64, 0), (Family.GPSWF, 0.0, 200.0, 128, 21),
+        (Family.CPSWF, 1.5, 300.0, 64, 4)])
+    def test_unresolved_chi_raise(self, family, alpha, c, N, certified):
+        # against an 8N solve, 32 of 32, 40 of 64 and 27 of 32 chi are wrong here
+        spec = ProlateSpec(family=family, alpha=alpha, c=c, N=N)
+        with pytest.raises(NumericsError, match=f"certifies only {certified} of the {N // 2} "
+                                                f"retained eigenvalues at N={N}, c={c:g}"):
+            solve(spec)
+        args = ["--family", family.value, "--alpha", str(alpha), "--c", str(c), "--n", str(N)]
+        for command in ("basis", "sweep", "kernel", "verify"):
+            assert cli_main([command, *args, "--quad-size", "64", "--output", "/dev/null"]) == 3
+
+    @pytest.mark.parametrize("family,alpha,c,N,keep", [(Family.CPSWF, 1.5, 100.0, 64, 0.5),
+                                                        (Family.GPSWF, 0.0, 200.0, 1024, 0.25)])
+    def test_resolved_chi_certify(self, family, alpha, c, N, keep):
+        # the first-order residual alone exceeds 1e-10 on the first (1.05e-8);
+        # their chi are within 4e-16 relative of an 8N solve
+        spec = ProlateSpec(family=family, alpha=alpha, c=c, N=N, keep_fraction=keep)
+        es = solve(spec)
+        chi8 = solve(replace(spec, N=8 * N, keep_fraction=keep / 8)).chi
+        assert np.all(np.abs(es.chi - chi8) <= 1e-15 * es.chi)
+        assert np.all(es.chi_error <= 1e-10 * es.chi)
+
+    def test_kato_temple_bound(self):
+        # r alone where the gap is unknown (above the last value) or too small;
+        # r^2 / (gap - r) where the neighbours' intervals leave a gap past 2r
+        theta = np.array([1.0, 2.0, 2.1, 5.0])
+        r = np.array([1e-3, 0.0, 0.2, 1e-3])
+        bound = prolate._kato_temple(theta, r)
+        assert bound[0] == pytest.approx(1e-6 / (1.0 - 1e-3))
+        assert bound[1] == 0.0
+        assert bound[2] == 0.2
+        assert bound[3] == 1e-3
 
 
 class TestEval:

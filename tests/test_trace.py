@@ -52,8 +52,8 @@ def test_traced_worker_op(args, expected, tmp_path):
         assert counts == {"mode_transforms": 1, "finite_fourier": 0, "finite_hankel": 0,
                           "apply_Qc": int(gpswf)}
         assert [s["kernel_entries"] for s in spans if "kernel_entries" in s] == [QUAD**2] * int(gpswf)
-        # the Q_c kernel calls bessel_j once per unordered node pair, less its
-        # diagonal, which takes its t -> 0 limit without it; the closed form
-        # runs its own Miller pass and calls no bessel_j
+        # the Q_c kernel's normalised Bessel function calls bessel_j only past
+        # its series regime, which c = 2 does not reach (and at alpha = 0 it is
+        # sin(t) / t); the closed form runs its own Miller pass: no bessel_j
         points = sum(s.get("points", 0) for s in spans if s["name"] == "specfun.bessel_j")
-        assert points == (QUAD * (QUAD - 1) // 2 if gpswf else 0)
+        assert points == 0

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -167,9 +169,24 @@ class TestQc:
         assert np.allclose(bandlimit_kernel(0.7, -2.3), bandlimit_kernel(0.7, 2.3))
 
     def test_kernel_overflowing_gamma_rejected(self):
-        # Gamma(alpha + 3/2) exceeds the float range from alpha = 170.2
+        # Gamma(nu + 1) (2/t)^nu, nu = alpha + 1/2, exceeds the float range at
+        # the end of the series regime t = nu / 2 from alpha = 1800 or so
         with pytest.raises(ValueError, match="too large"):
-            bandlimit_kernel(200.0, 1.0)
+            bandlimit_kernel(2000.0, [1.0, 2000.0])
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 100.0, 150.0, 200.0])
+    def test_kernel_against_mpmath(self, alpha):
+        # at alpha = 100, J_nu(1e-6) and (1e-6)^nu both underflow: their
+        # ratio once read nan, and its limit 0.1766 at t -> 0 read 0 at t = 1e-3
+        import mpmath as mp
+
+        t = np.array([0.0, 1e-6, 1e-3, 1.0, 8.9, 9.1, 30.0, 74.0, 76.0, 200.0, 5000.0])
+        with mp.workdps(40):
+            nu = mp.mpf(alpha) + mp.mpf(1) / 2
+            scale = mp.sqrt(mp.pi) * mp.gamma(alpha + 1)
+            exact = [float(scale / mp.gamma(nu + 1)) if x == 0 else
+                     float(scale * (2 / mp.mpf(x)) ** nu * mp.besselj(nu, x)) for x in t]
+        assert np.max(np.abs(bandlimit_kernel(alpha, t) - exact)) <= 5e-14
 
     def test_eigenvalue_matches_fourier_composition(self, es_g5):
         # Q_c = (c/2pi) F* F  =>  Q eigenvalue equals (c/2pi)|mu_n|^2
@@ -302,9 +319,14 @@ class TestModeTransforms:
         # an odd Gauss-Jacobi rule has an exact 0 node, where J_{k+a+1/2}(c|x|) / (c|x|)^{a+1/2}
         # takes its limit, with no division by 0 (a RuntimeWarning fails the test)
         ("gpswf", 0.5, 4.0, 128, 513),
+        # f_0 and J_{a+1/2}(c|x|) / (c|x|)^{a+1/2} reach 1e187 and 1e-188 at
+        # alpha = 100, 1e284 and 1e-285 at alpha = 140
+        ("gpswf", 100.0, 4.0, 64, 128), ("gpswf", 140.0, 4.0, 64, 128),
     ])
     def test_against_the_quadrature_kernel(self, family, alpha, c, N, size):
-        es = solve(ProlateSpec(family=family, alpha=alpha, c=c, N=N))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # alpha outside the theorem range
+            es = solve(ProlateSpec(family=family, alpha=alpha, c=c, N=N))
         rule = es.default_rule(size)
         g = mode_transforms(es, rule, 9)
         expected = family_transform(es, SampledFunction(rule=rule, values=es.rule_modes(rule)[:9]))
@@ -331,6 +353,11 @@ class TestModeTransforms:
             mode_transforms(es_g5, es_g5.default_rule(), es_g5.n_retained + 1)
         with pytest.raises(ValueError, match="Gauss-Legendre"):
             mode_transforms(es_c5, es_g5.default_rule(), 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            es = solve(ProlateSpec(family="gpswf", alpha=150.0, c=4.0, N=16))
+        with pytest.raises(ValueError, match="alpha=150.0 is too large"):
+            mode_transforms(es, es.default_rule(64), 3)
 
 
 class TestCommutationWitness:
