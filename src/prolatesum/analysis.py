@@ -8,11 +8,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-# numpy loads these on first use: import them with the package, not inside an op
-import numpy.polynomial  # noqa: F401
+# numpy loads it on first use: import it with the package, not inside an op
 import numpy.random  # noqa: F401
 
-from .prolate import EigenSystem, Family
+from .prolate import EigenSystem, Family, _support_rows
 from .riesz import (
     ExponentTable,
     RieszConfig,
@@ -66,8 +65,9 @@ def norm_growth_fit(es: EigenSystem, p: float, n_range: tuple[int, int]) -> floa
     ns = np.arange(lo, hi + 1)
     if p == math.inf:
         # only the fitted modes are evaluated, on the basis rows that carry them
-        rows = es.support_rows
-        modes = es.coeffs[:rows, ns].T @ es.basis_matrix(_dense_interior_grid(es), rows=rows)
+        C = es.coeffs[:, lo:hi + 1]
+        C = C[:_support_rows(C)]
+        modes = C.T @ es.basis_matrix(_dense_interior_grid(es), rows=len(C))
         vals = np.max(np.abs(modes), axis=1)
     else:
         rule = es.default_rule()
@@ -121,7 +121,7 @@ def calibrate_lemma1(es: EigenSystem, rule: QuadratureRule, p: float, table: Exp
     probes = np.empty((n_probes, x.size))
     for i in range(n_probes):
         deg = int(rng.integers(1, 21))
-        probes[i] = np.polynomial.polynomial.polyval(x, rng.standard_normal(deg + 1))
+        probes[i] = np.polyval(rng.standard_normal(deg + 1)[::-1], x)
     coeffs = expansion_coeffs(SampledFunction(rule=rule, values=probes), es).T  # (m, n_probes)
     pnorms = _lp_norms(probes, rule.weights, p)
     g = table.gamma(dual_exponent(p))
@@ -153,8 +153,9 @@ def jacobi_approx_residual(es: EigenSystem, n: int) -> JacobiApproxResult:
         raise ValueError("diagnostic valid for 0 <= alpha < 3/2")
     if not 0 <= n < es.n_retained:
         raise ValueError(f"mode {n} is not retained")
-    # the basis rows that carry coefficients, and J~_n
-    B = es.basis_matrix(_dense_interior_grid(es), rows=max(es.support_rows, n + 1))
+    # the basis rows that carry mode n's coefficients, and J~_n
+    rows = max(_support_rows(es.coeffs[:, n:n + 1]), n + 1)
+    B = es.basis_matrix(_dense_interior_grid(es), rows=rows)
     amp = float(es.coeffs[n, n])
     diff = es.coeffs[: len(B), n] @ B - amp * B[n]
     return JacobiApproxResult(residual=float(np.max(np.abs(diff))), amplitude=amp)

@@ -344,10 +344,10 @@ def solve(spec: ProlateSpec) -> EigenSystem:
     """Solve the Galerkin eigenproblem and keep the m = floor(N * keep_fraction)
     leading pairs of the merged block spectra (_solve_leading), each with the
     Kato-Temple bound of its block as chi_error.  Raises NumericsError unless
-    every chi_error(n) <= CHI_TOL * max(1, chi_n).  Only the retained columns
-    are placed, at their block's rows, with the positive-leading-coefficient
-    sign convention and (GPSWF) their block as parity tag: no (N, N) array is
-    formed.
+    every chi_error(n) <= CHI_TOL * max(1, chi_n).  Only the retained columns,
+    each block's lowest pairs, are placed, at their block's rows, with the
+    positive-leading-coefficient sign convention and (GPSWF) their block as
+    parity tag: no (N, N) array is formed.
     """
     if not spec.theorem_range_ok:
         warnings.warn(
@@ -365,12 +365,12 @@ def solve(spec: ProlateSpec) -> EigenSystem:
     solved = [_solve_leading(b, np.count_nonzero(free[b.rows] <= bound)) for b in blocks]
     theta = np.concatenate([w for w, _, _ in solved])
     block = np.concatenate([np.full(w.size, i) for i, (w, _, _) in enumerate(solved)])
-    column = np.concatenate([np.arange(w.size) for w, _, _ in solved])
-    order = np.argsort(theta)
+    # stable, so that each block's retained pairs are the first of its window's
+    order = np.argsort(theta, kind="stable")
     theta = theta[order]
     error = np.concatenate([_kato_temple(w, r) for w, _, r in solved])[order]
     m = spec.n_retained
-    chi, error, block, column = theta[:m], error[:m], block[order[:m]], column[order[:m]]
+    chi, error, block = theta[:m], error[:m], block[order[:m]]
     if np.any(np.diff(chi) <= 0):
         raise NumericsError("merged spectrum is not strictly increasing")
     # the certified prefix (see EigenSystem)
@@ -385,8 +385,7 @@ def solve(spec: ProlateSpec) -> EigenSystem:
     support = 1
     for i, b in enumerate(blocks):
         picked = block == i
-        vecs = solved[i][1][:, column[picked]]
-        solved[i] = None  # only the picked columns are kept
+        vecs = solved[i][1][:, : np.count_nonzero(picked)]  # a view: flipped in place
         # the sign convention: the other blocks' rows are zero, so the
         # largest entry of a column lies on its block's rows.  A flipped
         # column is 0.0 - v, which keeps its zeros at +0.0

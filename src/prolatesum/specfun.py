@@ -159,14 +159,18 @@ def gauss_jacobi(size: int, a: float, b: float) -> QuadratureRule:
             x = np.concatenate(([0.0], x))
     else:
         x = _recurrence_eigvals(size, a, b)
-    x, w = _newton_christoffel(size, a, b, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # its sums overflow where the smallest weights near 1e-308: the check below fails
+        x, w = _newton_christoffel(size, a, b, x)
     if a == b:  # the positive half mirrored, then the nonnegative one
         nodes = np.concatenate((-x[odd:][::-1], x))
         weights = np.concatenate((w[odd:][::-1], w))
     else:
         nodes, weights = x, w
     if not (np.all(weights > 0) and np.all(np.diff(nodes) > 0)):
-        raise NumericsError("Gauss-Jacobi construction produced an invalid rule")
+        raise NumericsError(
+            f"the {size}-node Gauss-Jacobi rule for the weight (1-x)^{a:g} (1+x)^{b:g} is invalid: its "
+            "smallest weights reach the float range's lower end (about 1e-308); use fewer nodes")
     if nodes[0] <= -1 or nodes[-1] >= 1:
         raise NumericsError("quadrature nodes escaped the open interval")
     return QuadratureRule(a=a, b=b, interval=(-1.0, 1.0), nodes=nodes, weights=weights)
@@ -384,8 +388,10 @@ def _bessel_miller(order: float, x: np.ndarray, count: int = 1, power: float = 0
     J_nu(x) / x^nu -> 1 / (2^nu Gamma(nu+1)).  It starts past max(x) and the
     top order, so the batch's largest x sets the start, and is normalized
     by the Neumann series (x/2)^f = sum_j (f+2j) Gamma(f+j)/j! J_{f+2j}(x),
-    f = frac(order), summed by Horner in t^2 on the way down.
-    A node's running values past 2^600 are scaled by 2^-600, which is exact.
+    f = frac(order), summed by Horner in t^2 on the way down: one recurrence
+    for every x (t = 1 and t^2 = 1 exactly for x >= 1).  A node's running
+    values past 2^600 are scaled by 2^-600, and the rows by 2^-e, norm's
+    binary exponent e, at the end: both exact, so no scale factor underflows.
     order >= -1/2 (below 0 only for x > 0) and order >= power.
     """
     n0 = int(np.floor(order))  # -1 for a negative order: the last step is f -> f - 1
@@ -398,7 +404,7 @@ def _bessel_miller(order: float, x: np.ndarray, count: int = 1, power: float = 0
         2.0 if frac == 0.0 else (frac + 2 * j) * exp(lgamma(frac + j) - lgamma(j + 1.0))
         for j in range(1, top // 2 + 1)]
     small = np.minimum(x, 1.0)
-    tsq = small * small if np.any(x < 1.0) else None  # t^2 = 1 everywhere: skipped
+    tsq = small * small
     wide = np.maximum(x, 1.0)  # x / t
     band = np.empty((count, x.size))
     vp = np.zeros_like(x)
@@ -409,14 +415,13 @@ def _bessel_miller(order: float, x: np.ndarray, count: int = 1, power: float = 0
     for m in range(top, min(n0, 0), -1):
         nxt = 2.0 * (frac + m) / wide  # one rounding per step, not a repeated one
         nxt *= v
-        nxt -= vp if tsq is None else tsq * vp
+        nxt -= tsq * vp
         vp, v = v, nxt
         k = m - 1 - n0  # v is v_{order+k}
         if 0 <= k < count:
             band[k] = v
         if m % 2 == 1:  # v is v_{f+2j}, j = (m - 1) / 2
-            if tsq is not None:
-                norm *= tsq
+            norm *= tsq
             norm += weights[(m - 1) // 2] * v
         if m % every == 0:
             big = np.maximum(np.abs(v), np.abs(vp)) > 2.0 ** _RESCALE
@@ -426,12 +431,12 @@ def _bessel_miller(order: float, x: np.ndarray, count: int = 1, power: float = 0
                 if k < count:  # the rows stored so far, v's own included
                     stored = band[max(k, 0):]
                     stored[:, big] = np.ldexp(stored[:, big], -_RESCALE)
-    # J_{order+k} / x^power = v (x / 2t)^f / norm * t^(order+k) / x^power
-    scale = np.exp2(-frac) * x ** np.where(x <= 1.0, order - power, frac - power) / norm
-    band *= scale
-    if tsq is not None and count > 1:
-        band *= small ** np.arange(count)[:, None]
-    return band
+    # J_{order+k} / x^power = v (x / 2t)^f / norm * t^(order+k) / x^power, with
+    # norm's binary exponent taken last: the scale before it stays a normal float
+    mant, expo = np.frexp(norm)
+    band *= np.exp2(-frac) * x ** np.where(x <= 1.0, order - power, frac - power) / mant
+    band *= small ** np.arange(count)[:, None]
+    return np.ldexp(band, -expo, band)
 
 
 def bessel_j(order: float, x):

@@ -107,7 +107,9 @@ class TestNormGrowth:
 
         monkeypatch.setattr(prolate, "jacobi_orthonormal_table", recording)
         assert norm_growth_fit(es, math.inf, (20, 100)) == pytest.approx(expected, rel=1e-12)
-        assert sizes == [es.support_rows] and es.support_rows < N
+        # the basis rows up to the fitted columns' last nonzero row
+        rows = np.flatnonzero(np.any(es.coeffs[:, ns], axis=1))[-1] + 1
+        assert sizes == [rows] and rows < es.support_rows < N
 
     @pytest.mark.parametrize("family,alpha", [("gpswf", 0.5), ("cpswf", 0.7)])
     def test_finite_p_at_n2048_uses_a_rule_of_n_nodes(self, family, alpha):

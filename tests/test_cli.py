@@ -155,6 +155,21 @@ class TestVerify:
         assert code == 1
         assert err.startswith("error: verify needs --alpha <= 148 for gpswf")
 
+    def test_rule_with_weights_below_the_float_range_exit_3(self, tmp_path, capsys):
+        # alpha = 148: 128 and 512 nodes build, 2048 cannot (its smallest
+        # weights are below 1e-308); no RuntimeWarning escapes on either path
+        args = ["verify", "--family", "gpswf", "--alpha", "148", "--c", "4", "--n", "64",
+                "--output", str(tmp_path / "v.json")]
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "alpha=148.0 lies outside")
+            warnings.simplefilter("error", RuntimeWarning)
+            for quad in ("128", "512"):
+                assert run_cli([*args, "--quad-size", quad], capsys)[0] == 0
+            code, _, err = run_cli([*args, "--quad-size", "2048"], capsys)
+        assert code == 3
+        assert err.startswith("numerical failure: the 2048-node Gauss-Jacobi rule")
+        assert "Traceback" not in err
+
     def test_csv_is_three_json_lines(self, capsys):
         code, out, _ = run_cli(["verify", "--n", "16", "--quad-size", "32", "--format", "csv"], capsys)
         assert code == 0

@@ -25,7 +25,7 @@ def test_import_leaves_out_scipy_integrate():
     assert not _loaded_after("import prolatesum", "scipy.integrate")
 
 
-@pytest.mark.parametrize("module", ["scipy.special", "scipy.linalg", "numpy.f2py"])
+@pytest.mark.parametrize("module", ["scipy.special", "scipy.linalg", "numpy.f2py", "numpy.polynomial"])
 def test_cli_import_leaves_out(module):
     assert not _loaded_after("import prolatesum.cli", module)
 

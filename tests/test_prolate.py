@@ -310,6 +310,36 @@ class TestRetainedColumnsOnly:
         for i, (b, s) in enumerate(zip(blocks, sizes)):
             assert not np.any(es.coeffs[b.rows][s[-1]:, owner == i])
 
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from([Family.GPSWF, Family.CPSWF]),
+           alpha=st.floats(-0.45, 3.0), c=st.floats(0.0, 60.0),
+           N=st.integers(4, 320), keep=st.sampled_from([0.25, 0.5, 1.0]))
+    def test_each_block_keeps_its_window_prefix(self, family, alpha, c, N, keep):
+        # a block's columns in coeffs are the first pairs of its last window
+        # solve, each flipped so that its largest-magnitude entry is positive
+        spec = ProlateSpec(family=family, alpha=alpha, c=c, N=N, keep_fraction=keep)
+        windows, solve_leading = [], prolate._solve_leading
+
+        def recording(b, k):
+            w, v, r = solve_leading(b, k)
+            windows.append(v.copy())  # solve flips its columns in place
+            return w, v, r
+
+        with warnings.catch_warnings(), mock.patch.object(prolate, "_solve_leading", recording):
+            warnings.simplefilter("ignore")  # alpha outside the theorem range
+            try:
+                es = solve(spec)
+            except NumericsError:
+                return
+        owner = es.parity if family is Family.GPSWF else np.zeros(es.n_retained, dtype=int)
+        for i, (b, v) in enumerate(zip(build_galerkin(spec), windows)):
+            kept = es.coeffs[b.rows][:, owner == i]
+            prefix = v[:, : kept.shape[1]]
+            lead = prefix[np.argmax(np.abs(prefix), axis=0), np.arange(prefix.shape[1])]
+            expected = np.where(lead < 0, 0.0 - prefix, prefix)
+            assert kept[: v.shape[0]].tobytes() == np.ascontiguousarray(expected).tobytes()
+            assert not np.any(kept[v.shape[0]:])
+
     # the benchmark's solves: its large ones (gpswf at N = 2048 and cpswf at
     # N = 1024), and verify-n128's at N = 128 and its 2N refinement at N = 256
     @pytest.mark.parametrize("family,alpha,N,keep,c", [
@@ -346,9 +376,9 @@ class TestRetainedColumnsOnly:
 
     def test_gpswf_peak_memory_is_the_blocks_and_coeffs(self):
         # at its peak solve holds coeffs, both blocks' window eigenvector
-        # matrices (288 of 512 rows each here, 0.16 coeffs each) and one
-        # block's picked columns (0.14 coeffs): 1.50 coeffs measured.  The
-        # bound leaves 0.10 coeffs of margin; whole-block matrices (0.5 coeffs
+        # matrices (288 of 512 rows each here, 0.16 coeffs each) and |v| of
+        # one block's kept columns (0.14 coeffs): 1.52 coeffs measured.  The
+        # bound leaves 0.08 coeffs of margin; whole-block matrices (0.5 coeffs
         # each) exceed it.
         tracemalloc.start()
         try:

@@ -207,13 +207,14 @@ class TestMillerOrders:
     def test_rescales_past_the_float_range(self, monkeypatch):
         # at z = 1e-3 each step down multiplies by about 2 nu: from order 340
         # down the running values pass 2^1024 many times over, and are rescaled
+        # by 2^-_RESCALE (the last ldexp applies the normalization's exponent)
         scaled = []
         ldexp = np.ldexp
-        monkeypatch.setattr(np, "ldexp", lambda *a: scaled.append(1) or ldexp(*a))
+        monkeypatch.setattr(np, "ldexp", lambda *a: scaled.append(a[1]) or ldexp(*a))
         z = np.array([1e-3, 2e-3, 40.0])
         out = specfun._bessel_miller(1.7, z, 301)
         monkeypatch.undo()
-        assert scaled
+        assert -specfun._RESCALE in scaled[:-1]
         assert np.max(np.abs(out - self._reference(1.7, range(301), z))) <= 2e-15
 
     @pytest.mark.parametrize("nu0", [0.5, 1.5, 40.5])
@@ -227,6 +228,14 @@ class TestMillerOrders:
         assert np.all(out[1:, 0] == 0.0)
         ref = self._reference(nu0, range(12), z[1:], power=nu0)
         assert np.max(np.abs(out[:, 1:] - ref)) <= 1e-15 * max(1.0, np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("z", [19.9, 25.0])
+    def test_large_order_scale_stays_normal(self, z):
+        # at nu0 = 100.5 the normalizing sum passes 2^600 after the last
+        # rescale; a scale 1 / norm would be subnormal and lose digits
+        out = specfun._bessel_miller(100.5, np.array([z]), 40, power=100.5)
+        ref = self._reference(100.5, range(40), [z], power=100.5)
+        assert np.max(np.abs(out / ref - 1.0)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +359,15 @@ class TestGaussJacobi:
         assert rule.interval == (0.0, 1.0)
         assert np.sum(rule.weights) == pytest.approx(1.0, rel=1e-14)
         assert np.sum(rule.weights * rule.nodes**3) == pytest.approx(0.25, rel=1e-13)
+
+    @pytest.mark.parametrize("a", [130.0, 148.0])
+    def test_weights_below_the_float_range_fail_without_a_warning(self, a):
+        # sum p_k^2 overflows at the end nodes: a NumericsError naming the
+        # size and the exponents, and no RuntimeWarning (which fails a test)
+        with pytest.raises(NumericsError, match=f"2048-node .*\\^{a:g} .*use fewer nodes"):
+            gauss_jacobi(2048, a, a)
+        assert np.min(gauss_jacobi(2048, 120.0, 120.0).weights) > 0
+        assert np.all(gauss_jacobi(512, a, a).weights > 0)
 
     def test_size_limits(self):
         with pytest.raises(ValueError):
