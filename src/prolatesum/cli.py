@@ -260,6 +260,33 @@ def _check(name: str, value: float, tolerance: float, larger_ok: bool = False) -
 VERIFY_C_MAX = {"gpswf": 5e5, "cpswf": 1e6}
 
 
+def _dyadic_grid_maxima(rc: RieszConfig) -> tuple[float, float]:
+    """For the dyadic pieces k = 1..K on a 100,001-point grid of [0, 1.05 R]:
+    the largest ratio of a piece's sup to its bound 2^delta 2^{-k delta}, and
+    the largest value a piece takes outside its support window.  Its arrays
+    die on return, before the transform checks reach their peak memory."""
+    grid = np.linspace(0.0, rc.R * 1.05, 100_001)
+    K = riesz.dyadic_cutoff(rc)
+    k, lower, upper = riesz.dyadic_split(grid, rc)
+    # the grid ascends, so k does too: piece j is upper on the run k == j - 1,
+    # lower on the run k == j, and +0.0 at every other point
+    first = np.searchsorted(k, np.arange(K + 2))  # first[j]: the first point with k >= j
+    worst_rel = 0.0
+    support_leak = 0.0
+    for j in range(1, K + 1):
+        s, m, e = first[j - 1], first[j], first[j + 1]
+        vals = np.concatenate((upper[s:m], lower[m:e]))  # piece j on grid[s:e]
+        # a piece that is 0 on the grid meets any bound, even one that underflows to 0
+        peak = np.max(vals, initial=0.0)
+        worst_rel = max(worst_rel, float(peak / 2.0 ** (rc.delta - j * rc.delta)) if peak > 0 else 0.0)
+        lo_j, hi_j = rc.R * (1 - 2.0 ** (-j + 1)), rc.R * (1 - 2.0 ** (-j - 1))
+        # the points outside (lo_j, hi_j) are grid[:a] and grid[b:]
+        a, b = np.searchsorted(grid, lo_j, side="right"), np.searchsorted(grid, hi_j)
+        outside = np.concatenate((vals[:max(a - s, 0)], vals[max(b - s, 0):]))
+        support_leak = max(support_leak, float(np.max(outside, initial=0.0)))
+    return worst_rel, support_leak
+
+
 def _verify_checks(cfg: RunConfig) -> list[dict]:
     if cfg.c > VERIFY_C_MAX[cfg.family]:
         raise UsageError(f"verify needs --c <= {VERIFY_C_MAX[cfg.family]:.0e} for {cfg.family} "
@@ -326,23 +353,15 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
         R = float(rng.uniform(es.chi[2], es.certified_max))
         delta = float(rng.uniform(0.1, 3.0))
         rc = RieszConfig(R=R, delta=delta)
-        total = sum(riesz.dyadic_piece(es.chi, rc, k) for k in range(riesz.dyadic_cutoff(rc) + 1))
+        K = riesz.dyadic_cutoff(rc)
+        k, lower, upper = riesz.dyadic_split(es.chi, rc)
+        # pieces 0..K: a point's lower part is piece k, its upper part piece k + 1 (k >= -1)
+        total = np.where((k >= 0) & (k <= K), lower, 0.0) + np.where(k < K, upper, 0.0)
         total = total + riesz.dyadic_tail(es.chi, rc)
         worst_gap = max(worst_gap, float(np.max(np.abs(total - riesz.riesz_weight(es.chi, rc)))))
     checks.append(_check("dyadic_decomposition_identity", worst_gap, 1e-12))
 
-    rc = RieszConfig(R=float(es.certified_max), delta=cfg.delta)
-    grid = np.linspace(0.0, es.certified_max * 1.05, 100_001)
-    worst_rel = 0.0
-    support_leak = 0.0
-    for k in range(1, riesz.dyadic_cutoff(rc) + 1):
-        vals = riesz.dyadic_piece(grid, rc, k)
-        # a piece that is 0 on the grid meets any bound, even one that underflows to 0
-        peak = np.max(np.abs(vals))
-        worst_rel = max(worst_rel, float(peak / 2.0 ** (rc.delta - k * rc.delta)) if peak > 0 else 0.0)
-        lo_k, hi_k = rc.R * (1 - 2.0 ** (-k + 1)), rc.R * (1 - 2.0 ** (-k - 1))
-        outside = (grid <= lo_k) | (grid >= hi_k)
-        support_leak = max(support_leak, float(np.max(np.abs(vals[outside]))))
+    worst_rel, support_leak = _dyadic_grid_maxima(RieszConfig(R=float(es.certified_max), delta=cfg.delta))
     checks.append(_check("dyadic_piece_sup_bound", worst_rel, 1.0))
     checks.append(_check("dyadic_piece_support", support_leak, 0.0))
 

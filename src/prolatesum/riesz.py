@@ -51,15 +51,21 @@ def bump_zero(t):
     e(u) = exp(-1/u): 0 for t <= 1/2, 1 for t >= 1, NaN for NaN.
 
     The exps are taken only where 0 < 2t - 1 < 1, so the two calls in bump
-    spend them on disjoint halves of its support.
+    spend them on disjoint halves of its support.  Every step runs in place:
+    besides the output it holds at most two arrays the size of t.
     """
-    u = 2.0 * np.asarray(t, dtype=float) - 1.0
-    out = np.where(u <= 0.0, 0.0, np.minimum(u, 1.0))
+    u = np.array(t, dtype=float)  # a copy, which becomes the output
+    u *= 2.0
+    u -= 1.0
     mid = (u > 0.0) & (u < 1.0)
-    um = u[mid]
-    eu, ev = np.exp(-1.0 / um), np.exp(-1.0 / (1.0 - um))
-    out[mid] = eu / (eu + ev)
-    return float(out) if np.ndim(t) == 0 else out
+    eu = u[mid]
+    ev = np.subtract(1.0, eu)
+    np.clip(u, 0.0, 1.0, out=u)  # 0 for u <= 0, 1 for u >= 1; NaN stays NaN
+    np.exp(np.divide(-1.0, eu, out=eu), out=eu)
+    np.exp(np.divide(-1.0, ev, out=ev), out=ev)
+    ev += eu
+    u[mid] = np.divide(eu, ev, out=eu)
+    return float(u) if np.ndim(t) == 0 else u
 
 
 def bump(t):
@@ -84,22 +90,50 @@ def dyadic_cutoff(cfg: RieszConfig) -> int:
     return max(int(math.floor(math.log(cfg.R) / math.log(2.0))), 0)
 
 
+# dyadic_split's index for t = 0 (chi >= R) and NaN: past every piece, as a
+# positive t is at least 2^-1074, so k <= 1073 and pieces past 1074 are +0.0
+_PAST = np.iinfo(np.intc).max
+
+
+def dyadic_split(chi, cfg: RieszConfig):
+    """Every dyadic piece at every point from one phi_0 evaluation.
+
+    Write t = 1 - chi/R, clipped to [0, 1], as m 2^e with m in [1/2, 1).
+    Then 2^j t lies in bump's open support (1/2, 2) only for j = -e (when
+    m > 1/2) and for j = 1 - e, where bump(m) = phi_0(m) and
+    bump(2m) = 1 - phi_0(m).  Returns (k, lower, upper) with k = -e,
+    lower = t^delta phi_0(m) and upper = t^delta (1 - phi_0(m)):
+    dyadic_piece(chi, cfg, j) is lower where k == j, upper where
+    k == j - 1, and +0.0 elsewhere.  t = 0 and NaN get an index past every
+    piece, so k does not decrease along an ascending chi.  Scalars for a
+    scalar chi.
+    """
+    t = np.atleast_1d(_gap(chi, cfg))
+    m, k = np.frexp(t)
+    np.negative(k, out=k)
+    k[~(m > 0.0)] = _PAST
+    t **= cfg.delta
+    lower = bump_zero(m)
+    upper = np.subtract(1.0, lower, out=m)
+    upper *= t
+    lower *= t
+    if np.ndim(chi) == 0:
+        return int(k[0]), float(lower[0]), float(upper[0])
+    return k, lower, upper
+
+
 def dyadic_piece(chi, cfg: RieszConfig, k: int):
     """Localized multiplier t^delta * bump(2^k t), t = 1 - chi/R clipped to
-    [0, 1], bounded by 2^delta 2^{-k delta}.
+    [0, 1], bounded by 2^delta 2^{-k delta}; read from dyadic_split.
 
     Piece k = 0 is the head t^delta phi_0(t), since bump = phi_0 on t <= 1.
     Piece k >= 1 is supported in chi inside (R(1 - 2^{1-k}), R(1 - 2^{-k-1})).
     """
     if k < 0:
         raise ValueError("dyadic index k must be >= 0")
-    t = np.asarray(_gap(chi, cfg))
-    with np.errstate(over="ignore"):
-        scaled = np.ldexp(t, min(k, 2100))  # overflow to inf lands outside the bump support
-    # only the open support (1/2, 2) is evaluated; t^delta * bump is +0.0 elsewhere
-    inside = (scaled > 0.5) & (scaled < 2.0)
-    out = np.zeros_like(t)
-    out[inside] = t[inside] ** cfg.delta * bump(scaled[inside])
+    index, lower, upper = dyadic_split(chi, cfg)
+    j = min(k, _PAST - 1)  # selects no point: every piece past 1074 is +0.0
+    out = np.where(index == j, lower, np.where(index == j - 1, upper, 0.0))
     return float(out) if np.ndim(chi) == 0 else out
 
 

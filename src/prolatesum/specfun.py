@@ -159,15 +159,13 @@ def gauss_jacobi(size: int, a: float, b: float) -> QuadratureRule:
             x = np.concatenate(([0.0], x))
     else:
         x = _recurrence_eigvals(size, a, b)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # its sums overflow where the smallest weights near 1e-308: the check below fails
-        x, w = _newton_christoffel(size, a, b, x)
+    x, w = _newton_christoffel(size, a, b, x)
     if a == b:  # the positive half mirrored, then the nonnegative one
         nodes = np.concatenate((-x[odd:][::-1], x))
         weights = np.concatenate((w[odd:][::-1], w))
     else:
         nodes, weights = x, w
-    if not (np.all(weights > 0) and np.all(np.diff(nodes) > 0)):
+    if not (np.all(weights >= np.finfo(float).tiny) and np.all(np.diff(nodes) > 0)):
         raise NumericsError(
             f"the {size}-node Gauss-Jacobi rule for the weight (1-x)^{a:g} (1+x)^{b:g} is invalid: its "
             "smallest weights reach the float range's lower end (about 1e-308); use fewer nodes")
@@ -189,20 +187,40 @@ def _newton_christoffel(n: int, a: float, b: float, x: np.ndarray) -> tuple[np.n
     """One Newton step x - p_n(x) / p_n'(x) and the Christoffel weights
     1 / sum_{k<n} p_k^2 at the stepped nodes, to first order in the step,
     from one pass of the orthonormal (a, b) recurrence and its derivative:
-    O(len(x)) memory, no table of the p_k."""
+    O(len(x)) memory, no table of the p_k.
+
+    At a check every few steps, a node where p, p' or their previous values
+    pass 2^400 has all four scaled by 2^-400 and its sums by 2^-800; its
+    weight is scaled back at the end.  Powers of 2 are exact, so a rule
+    whose weights are normal floats gets the same bits as an unscaled pass,
+    while every value stays below 2^500 and every product below 2^1000:
+    unscaled, the sums overflow for rules with weights near 1e-306.
+    """
     alpha, beta = jacobi_recurrence(n + 1, a, b)
     root = np.sqrt(beta)
     p_prev, dp_prev = np.zeros_like(x), np.zeros_like(x)
     p, dp = np.full_like(x, 1.0 / root[0]), np.zeros_like(x)
     s, ds = np.zeros_like(x), np.zeros_like(x)  # sum p_k^2 and sum p_k p_k' over k < n
+    scaled = np.zeros(x.shape, dtype=np.intc)  # times each node was scaled by 2^-400
+    # |x - alpha_k| <= 2, so one step multiplies the largest of p, p', and their
+    # previous values by at most (3 + root_k) / root_{k+1}: 2^100 between checks
+    every = max(1, int(100.0 / log2(float(np.max((3.0 + root[:-1]) / root[1:])))))
     for k in range(n):
         s += p * p
         ds += p * dp
         t = x - alpha[k]
         p, p_prev = (t * p - root[k] * p_prev) / root[k + 1], p
         dp, dp_prev = (p_prev + t * dp - root[k] * dp_prev) / root[k + 1], dp
+        if k % every == 0:
+            big = np.max(np.abs([p, p_prev, dp, dp_prev]), axis=0) > 2.0**400
+            if np.any(big):
+                for arr in (p, p_prev, dp, dp_prev):
+                    arr[big] = np.ldexp(arr[big], -400)
+                for arr in (s, ds):
+                    arr[big] = np.ldexp(arr[big], -800)
+                scaled[big] += 1
     step = p / dp
-    return x - step, 1.0 / (s - 2.0 * ds * step)
+    return x - step, np.ldexp(1.0 / (s - 2.0 * ds * step), -800 * scaled)
 
 
 def gauss_legendre_01(size: int) -> QuadratureRule:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import prolatesum
-from prolatesum import cli, prolate, transforms
+from prolatesum import cli, prolate, riesz, transforms
 from prolatesum.analysis import convergence_sweep
 from prolatesum.cli import (
     EXIT_USAGE,
@@ -180,6 +180,46 @@ class TestVerify:
         assert loads(config.removeprefix("# config: "))["command"] == "verify"
         assert loads(results) == {"n_checks": 14, "n_pass": 14}
         assert len(loads(checks.removeprefix("# checks: "))) == 14
+
+
+def _per_k_dyadic_checks(cfg):
+    # the three dyadic checks as a loop over the pieces, each evaluated at
+    # every point as t^delta bump(2^k t), on verify's random draws
+    def piece(chi, rc, k):
+        t = np.clip(1.0 - chi / rc.R, 0.0, 1.0)
+        return t**rc.delta * riesz.bump(np.ldexp(t, k))
+
+    es = solve(cli._spec(cfg))
+    rng = np.random.default_rng(cfg.seed)
+    rng.uniform(1e-6, 1.0, size=10_000)  # the partition-of-unity check's draw
+    worst_gap = 0.0
+    for _ in range(5):
+        R = float(rng.uniform(es.chi[2], es.certified_max))
+        rc = RieszConfig(R=R, delta=float(rng.uniform(0.1, 3.0)))
+        total = sum(piece(es.chi, rc, k) for k in range(riesz.dyadic_cutoff(rc) + 1))
+        total = total + riesz.dyadic_tail(es.chi, rc)
+        worst_gap = max(worst_gap, float(np.max(np.abs(total - riesz.riesz_weight(es.chi, rc)))))
+    rc = RieszConfig(R=float(es.certified_max), delta=cfg.delta)
+    grid = np.linspace(0.0, es.certified_max * 1.05, 100_001)
+    worst_rel = support_leak = 0.0
+    for k in range(1, riesz.dyadic_cutoff(rc) + 1):
+        vals = piece(grid, rc, k)
+        peak = np.max(np.abs(vals))
+        worst_rel = max(worst_rel, float(peak / 2.0 ** (rc.delta - k * rc.delta)) if peak > 0 else 0.0)
+        lo, hi = rc.R * (1 - 2.0 ** (-k + 1)), rc.R * (1 - 2.0 ** (-k - 1))
+        support_leak = max(support_leak, float(np.max(np.abs(vals[(grid <= lo) | (grid >= hi)]))))
+    return {"dyadic_decomposition_identity": worst_gap, "dyadic_piece_sup_bound": worst_rel,
+            "dyadic_piece_support": support_leak}
+
+
+class TestDyadicChecks:
+    @pytest.mark.parametrize("delta", [0.13, 1.0, 200.0])
+    @pytest.mark.parametrize("family,alpha", [("gpswf", 0.0), ("cpswf", 0.5)])
+    def test_values_equal_the_per_piece_loop(self, family, alpha, delta):
+        cfg = RunConfig(command="verify", family=family, alpha=alpha, c=4.0, N=128, delta=delta, seed=3)
+        got = {c["name"]: c["value"] for c in cli._verify_checks(cfg)}
+        expected = _per_k_dyadic_checks(cfg)
+        assert {name: got[name] for name in expected} == expected
 
 
 class TestTruncationRefinement:

@@ -17,6 +17,7 @@ from prolatesum.riesz import (
     dual_exponent,
     dyadic_cutoff,
     dyadic_piece,
+    dyadic_split,
     dyadic_tail,
     expansion_coeffs,
     riesz_kernel_table,
@@ -220,6 +221,42 @@ class TestDyadicPiece:
         cfg = RieszConfig(R=10.0, delta=1.3)
         assert dyadic_piece(0.0, cfg, 0) == pytest.approx(1.0)
         assert dyadic_tail(0.0, cfg) == 0.0
+
+
+class TestDyadicSplit:
+    @settings(max_examples=200, deadline=None)
+    @given(log_R=st.floats(-3.0, 9.0),
+           delta=st.one_of(st.sampled_from([0.5, 1.0, 2.0, 200.0]), st.floats(0.05, 200.0)),
+           fractions=st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=40))
+    def test_every_piece_bit_identical_to_the_point_formula(self, log_R, delta, fractions):
+        # piece j is t^delta bump(2^j t) at every point, for j up to two past
+        # the cutoff; chi < 0 has t = 1, chi >= R has t = 0, NaN reads +0.0
+        cfg = RieszConfig(R=10.0**log_R, delta=delta)
+        chi = np.concatenate([cfg.R * np.array(fractions), [np.nan, -np.inf, np.inf, 0.0, cfg.R]])
+        t = np.clip(1.0 - chi / cfg.R, 0.0, 1.0)
+        k, lower, upper = dyadic_split(chi, cfg)
+        for j in range(dyadic_cutoff(cfg) + 3):
+            expected = np.where(np.isnan(t), 0.0, t**delta * bump(np.ldexp(t, j))).tobytes()
+            assert np.where(k == j, lower, np.where(k == j - 1, upper, 0.0)).tobytes() == expected
+            assert dyadic_piece(chi, cfg, j).tobytes() == expected
+        for i, x in enumerate(chi):
+            kx, lx, ux = dyadic_split(float(x), cfg)
+            assert type(kx) is int and type(lx) is float and type(ux) is float
+            assert (kx, np.float64(lx).tobytes(), np.float64(ux).tobytes()) == (
+                k[i], lower[i].tobytes(), upper[i].tobytes())
+
+    @pytest.mark.parametrize("R,delta", [(0.3, 0.7), (1e3, 1.0), (3e5, 200.0)])
+    def test_index_does_not_decrease_along_an_ascending_chi(self, R, delta):
+        # t = 2^-s just below chi = R, t = 0 from R on and NaN last: the last
+        # two get an index past every piece
+        cfg = RieszConfig(R=R, delta=delta)
+        chi = np.sort(np.concatenate([np.linspace(-R, 1.1 * R, 100_001),
+                                      R * (1.0 - np.ldexp(1.0, -np.arange(1, 54))),
+                                      [-np.inf, R, np.inf, np.nan]]))
+        k = dyadic_split(chi, cfg)[0]
+        assert np.all(k[1:] >= k[:-1])
+        at_R = np.searchsorted(chi, R)
+        assert k[0] == -1 and 50 <= k[at_R - 1] <= 53 and np.min(k[at_R:]) > 1074
 
 
 def _summed_tail(chi, cfg):

@@ -362,12 +362,25 @@ class TestGaussJacobi:
 
     @pytest.mark.parametrize("a", [130.0, 148.0])
     def test_weights_below_the_float_range_fail_without_a_warning(self, a):
-        # sum p_k^2 overflows at the end nodes: a NumericsError naming the
-        # size and the exponents, and no RuntimeWarning (which fails a test)
+        # the smallest weights are subnormal (1.4e-314) or below every float
+        # (1.3e-342): a NumericsError naming the size and the exponents, and
+        # no RuntimeWarning (which fails a test)
         with pytest.raises(NumericsError, match=f"2048-node .*\\^{a:g} .*use fewer nodes"):
             gauss_jacobi(2048, a, a)
         assert np.min(gauss_jacobi(2048, 120.0, 120.0).weights) > 0
         assert np.all(gauss_jacobi(512, a, a).weights > 0)
+
+    @pytest.mark.parametrize("size,a,smallest", [(2048, 125.0, 1.7773982902029893e-306),
+                                                 (1500, 148.0, 1.7481155075280370e-305)])
+    def test_weights_near_the_float_range_end_build(self, size, a, smallest):
+        # p_k p_k' and sum p_k p_k' pass the float range here long before
+        # sum p_k^2 does: the pass scales p and p' by powers of 2.  The smallest
+        # weights are those of the same pass run in 80-bit long double
+        rule = gauss_jacobi(size, a, a)
+        assert np.min(rule.weights) == pytest.approx(smallest, rel=1e-12)
+        moments = jacobi_moments(4, a, a)
+        for k in (0, 2, 4):
+            assert np.sum(rule.weights * rule.nodes**k) == pytest.approx(moments[k], rel=1e-12)
 
     def test_size_limits(self):
         with pytest.raises(ValueError):
